@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-smoke chaos crash serve-smoke obs-smoke quant-smoke failover-smoke durability-smoke fmt-check ci
+.PHONY: all build test vet race bench bench-smoke bench-test wire-fuzz chaos crash serve-smoke obs-smoke quant-smoke failover-smoke durability-smoke fmt-check ci
 
 all: build vet test
 
@@ -24,6 +24,20 @@ bench:
 bench-smoke:
 	$(GO) test -race -benchtime 1x -benchmem -run '^$$' \
 		-bench 'BenchmarkTensorMatMul256|BenchmarkTensorMatMulGrid/n=(64|256)|BenchmarkNNTrainBatch' .
+
+# The repository benchmark's own tests (bench/ is a module of its own, so
+# `go test ./...` at the root does not reach it): unit tests plus a 1/50-size
+# pass of every workload, < 5 s. bench/ calls wire.NewCodec/Send/Recv and
+# pipestore.ExtractRuns through a frozen surface; a signature change that
+# breaks it fails here instead of in the benchmark driver.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# Ten seconds of coverage-guided fuzzing of the wire decoder, from one valid
+# frame per message type: never a panic, never an untyped error, never a
+# message bigger than the bytes that carried it.
+wire-fuzz:
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire/
 
 # Deterministic chaos suite: seeded fault injection, quorum rounds, store
 # eviction/rejoin, and the kill/restart soak — all under the race detector.
@@ -96,4 +110,4 @@ durability-smoke:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-ci: build vet fmt-check race bench chaos crash serve-smoke obs-smoke quant-smoke failover-smoke durability-smoke
+ci: build vet fmt-check race bench bench-test wire-fuzz chaos crash serve-smoke obs-smoke quant-smoke failover-smoke durability-smoke

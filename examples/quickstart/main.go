@@ -65,7 +65,7 @@ func main() {
 	}
 	fmt.Printf("fine-tuned on %d photos over %d pipelined runs (%d epochs)\n",
 		rep.Images, rep.Runs, rep.Epochs)
-	fmt.Printf("feature traffic: %.1f KB/photo; model delta %.1fx smaller than the full model\n",
+	fmt.Printf("feature traffic: %.3f KB/photo; model delta %.1fx smaller than the full model\n",
 		float64(rep.FeatureBytes)/float64(rep.Images)/1e3, rep.TrafficReduction())
 
 	// 4. Evaluate and relabel.

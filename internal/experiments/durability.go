@@ -111,8 +111,11 @@ func durFleetUp(p Params, nStores, r, images, kill int, disk bool, root string) 
 			return nil, err
 		}
 		if i == kill {
+			// One write is one message: the hello, one feature batch, and
+			// the conn drops under the second — mid feature stream at both
+			// the quick and the full size.
 			inj, ierr := faultinject.New(p.Seed,
-				faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 23})
+				faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 3})
 			if ierr != nil {
 				return nil, ierr
 			}

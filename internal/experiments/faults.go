@@ -74,8 +74,11 @@ func Faults(p Params) (*Table, error) {
 				return nil, err
 			}
 			if i == sc.kill {
+				// One write is one message: the hello, one feature batch, and
+				// the conn drops under the second — mid feature stream at both
+				// the quick and the full size.
 				inj, err := faultinject.New(p.Seed,
-					faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 20})
+					faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 3})
 				if err != nil {
 					return nil, err
 				}
@@ -136,7 +139,7 @@ func Faults(p Params) (*Table, error) {
 		ln.Close()
 	}
 	t.Notes = append(t.Notes,
-		"faults are injected deterministically (seeded drop after N write ops on the victim's conn)",
+		"faults are injected deterministically (the victim's conn drops at its N-th write; one write is one message)",
 		"a degraded round commits on the surviving quorum; the rejoined store is caught up by one composite delta")
 	return t, nil
 }

@@ -15,9 +15,13 @@
 //	pipestore -fault-spec 'seed=7;drop:write,after=40'
 //	tuner     -fault-spec 'seed=7;delay:prob=0.05,ms=20,jitter=10'
 //
-// An operation is one Read or Write call on the wrapped conn. The gob
-// codec issues a small, deterministic number of writes per message, so
-// "drop after N write ops" is a stable way to kill a store mid-round.
+// An operation is one Read or Write call on the wrapped conn. The wire
+// codec sends every message as one frame in exactly one Write (pinned by
+// wire.TestOneSendOneWrite), so write faults are keyed on message
+// boundaries: "drop:write,after=N" kills the connection under the N-th
+// message a node sends — its hello is the first — and "corrupt:write,after=N"
+// flips a byte of exactly that message's frame. Reads are buffered and do
+// not line up with messages.
 package faultinject
 
 import (
@@ -53,8 +57,9 @@ const (
 	// Delay sleeps Delay ± uniform Jitter before the operation proceeds.
 	Delay
 	// Corrupt flips one byte of the frame (seeded position) — writes are
-	// corrupted before hitting the wire, reads after leaving it — which a
-	// gob peer surfaces as a decode error.
+	// corrupted before hitting the wire, reads after leaving it — which the
+	// receiving wire.Codec rejects with wire.ErrChecksum before decoding
+	// anything, and drops the connection.
 	Corrupt
 	// Blackhole partitions the direction: writes report success without
 	// transmitting and reads block until the conn is closed. The peer sees

@@ -44,7 +44,7 @@ type Node struct {
 	quant *nn.QuantNetwork
 
 	// wantEnc is the delta wire encoding advertised in the Hello
-	// (SetDeltaEncoding; zero value = legacy dense). The Tuner may still send
+	// (SetDeltaEncoding; zero value = dense). The Tuner may still send
 	// dense blobs — catch-ups always are — so every apply is routed by the
 	// message's own DeltaEncoding field, not by this preference.
 	wantEnc delta.Encoding
@@ -97,7 +97,7 @@ type Node struct {
 	// Messages stamped with a lower non-zero epoch come from a deposed
 	// leader and are rejected without execution — across sessions, so a
 	// stale leader reconnecting after a failover stays fenced. Zero-stamped
-	// messages (pre-HA or single-tuner peers) always pass.
+	// messages (a tuner running without HA) always pass.
 	fence atomic.Uint64
 }
 
@@ -214,8 +214,8 @@ func (n *Node) Quantized() bool {
 }
 
 // SetDeltaEncoding sets the compressed delta codec this store advertises in
-// its Hello (delta.EncodingTopK or delta.EncodingInt8; the zero value keeps
-// the legacy dense wire format). Call before Serve.
+// its Hello (delta.EncodingTopK or delta.EncodingInt8; the zero value is the
+// dense codec). Call before Serve.
 func (n *Node) SetDeltaEncoding(enc delta.Encoding) error {
 	if !enc.Valid() {
 		return fmt.Errorf("pipestore %s: invalid delta encoding %v", n.ID, enc)
@@ -511,9 +511,10 @@ func (n *Node) extractRun(tc telemetry.SpanContext, run int, shard []dataset.Ima
 
 // featureBatch runs the frozen backbone over a decoded batch and wraps the
 // embeddings in a wire message. The input matrix comes from the tensor
-// scratch arena, and the embeddings are copied out of the backbone's layer
-// scratch before the lock drops (the network's Forward output is only valid
-// until its next Forward — see the nn.Layer contract).
+// scratch arena, and the embeddings are rounded to binary16 straight out of
+// the backbone's layer scratch before the lock drops (the network's Forward
+// output is only valid until its next Forward — see the nn.Layer contract).
+// A NaN or infinity among them fails the batch: it is never sent.
 func (n *Node) featureBatch(run int, items []decodedImage, final bool) (*wire.Message, error) {
 	x := tensor.Get(len(items), n.cfg.InputDim)
 	defer tensor.Put(x)
@@ -527,8 +528,11 @@ func (n *Node) featureBatch(run int, items []decodedImage, final bool) (*wire.Me
 	n.mu.Lock()
 	feats := n.forwardBackboneLocked(x)
 	rows, cols := feats.Rows, feats.Cols
-	data := append([]float64(nil), feats.Data...)
+	data, err := wire.AppendHalves(nil, feats.Data)
 	n.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("pipestore %s: run %d: %w", n.ID, run, err)
+	}
 	return &wire.Message{
 		Type:    wire.MsgFeatures,
 		StoreID: n.ID,
@@ -728,7 +732,7 @@ func (n *Node) Serve(conn net.Conn) error {
 	c := wire.NewCodec(conn)
 	// The Hello advertises our persisted model version, so the Tuner ships
 	// only the catch-up for rounds we missed (nothing, if we're current) —
-	// and the compressed delta codec we can decode (zero = legacy dense).
+	// and the compressed delta codec we can decode (zero = dense).
 	if err := c.Send(&wire.Message{Type: wire.MsgHello, StoreID: n.ID,
 		ModelVersion: n.ModelVersion(), DeltaEncoding: uint8(n.wantEnc)}); err != nil {
 		return err
@@ -942,21 +946,42 @@ func (n *Node) serveOne(c *wire.Codec, msg *wire.Message) error {
 	return nil
 }
 
-// shipSpans sends every buffered span of one trace back to the Tuner. The
-// collector on the other side deduplicates by span ID, so overlapping
-// shipments (extraction, then delta apply, within one round's trace) are
-// harmless. Untraced commands ship nothing.
+// shipSpans sends this store's buffered spans of one trace back to the
+// Tuner. The collector on the other side deduplicates by span ID, so
+// overlapping shipments (extraction, then delta apply, within one round's
+// trace) are harmless. Untraced commands ship nothing.
 func (n *Node) shipSpans(c *wire.Codec, trace telemetry.TraceID) {
 	if trace == 0 {
 		return
 	}
-	spans := n.tracer.TraceSpans(trace)
+	spans := ownSpans(n.tracer.TraceSpans(trace), n.ID)
 	if len(spans) == 0 {
 		return
 	}
 	if err := c.Send(&wire.Message{Type: wire.MsgSpans, StoreID: n.ID, Trace: trace, Spans: spans}); err != nil {
 		n.log.Warn("span shipment failed", slog.String("trace_id", trace.String()), slog.Any("err", err))
 	}
+}
+
+// ownSpans keeps the spans a store recorded itself: those tagged with its ID
+// and the NPE stage spans directly beneath them. A store process has nothing
+// else in its tracer, but an in-process fleet shares one tracer between the
+// Tuner and every store, and shipping whatever the others happened to have
+// finished would make a round's traffic depend on timing.
+func ownSpans(spans []telemetry.SpanRecord, store string) []telemetry.SpanRecord {
+	own := make(map[telemetry.SpanID]bool, len(spans))
+	for _, s := range spans {
+		if s.AttrValue("store") == store {
+			own[s.ID] = true
+		}
+	}
+	out := spans[:0]
+	for _, s := range spans {
+		if own[s.ID] || own[s.Parent] {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // shipMetrics sends the node's registry snapshot (dense histogram buckets,

@@ -1,6 +1,8 @@
 package pipestore
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"ndpipe/internal/core"
@@ -127,7 +129,8 @@ func TestExtractFeaturesMatchBackbone(t *testing.T) {
 			b := dataset.BatchOfImages([]dataset.Image{img}, cfg.InputDim)
 			want := backbone.Forward(b.X)
 			for j := 0; j < m.Cols; j++ {
-				if m.X[i*m.Cols+j] != want.At(0, j) {
+				// What ships is the backbone's output rounded to binary16.
+				if h, ok := wire.HalfFromFloat64(want.At(0, j)); !ok || m.X[i*m.Cols+j] != h {
 					t.Fatalf("feature mismatch for image %d", img.ID)
 				}
 			}
@@ -264,5 +267,28 @@ func TestDiskBackedPipeStore(t *testing.T) {
 	}
 	if _, err := NewWithStorage("x", cfg, nil); err == nil {
 		t.Fatal("nil store must be rejected")
+	}
+}
+
+// A photo whose embedding overflows to infinity (or decays to NaN) fails its
+// batch at the store: the error names the cause and nothing is emitted.
+func TestExtractRejectsNonFiniteFeatures(t *testing.T) {
+	n, world := newStore(t, 20)
+	bad := world.Images()[0]
+	bad.ID = 1 << 40
+	bad.Feat = make([]float64, len(bad.Feat))
+	for i := range bad.Feat {
+		bad.Feat[i] = math.MaxFloat64
+	}
+	if err := n.Ingest([]dataset.Image{bad}); err != nil {
+		t.Fatal(err)
+	}
+	emitted := 0
+	err := n.ExtractRuns(1, 64, func(*wire.Message) error { emitted++; return nil })
+	if !errors.Is(err, wire.ErrNonFinite) {
+		t.Fatalf("ExtractRuns = %v, want wire.ErrNonFinite", err)
+	}
+	if emitted != 0 {
+		t.Fatalf("%d messages emitted from a batch holding a non-finite feature", emitted)
 	}
 }

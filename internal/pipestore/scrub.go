@@ -24,7 +24,7 @@ import (
 
 // objectChunk bounds how many ObjectData payloads ride in one MsgObjects
 // envelope. Raw photos run tens of KB, so 64 keeps a chunk well under the
-// wire guard while amortizing the per-message gob overhead.
+// wire size limit while amortizing the per-message framing and round trip.
 const objectChunk = 64
 
 // ReplicaSource answers read-repair fetches with a healthy copy of an

@@ -124,11 +124,14 @@ func chaosRoundOptions() RoundOptions {
 	}
 }
 
-// One of three stores is killed mid-round by a deterministic fault (its
-// conn drops after a fixed number of write ops — mid feature stream). With
-// Quorum 2 the round must commit degraded on the survivors.
+// One of three stores is killed mid-round by a deterministic fault: its conn
+// drops at a fixed write, and one write is one message. A store's writes are
+// the hello (1), then with 300 photos in 2 runs of batch 64 three feature
+// batches per run (2–4, 5–7), then spans, metrics, spans and the ack. Write 3
+// is run 0's second batch: the store dies mid feature stream. With Quorum 2
+// the round must commit degraded on the survivors.
 func TestQuorumRoundSurvivesStoreDeath(t *testing.T) {
-	inj, err := faultinject.New(7, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 20})
+	inj, err := faultinject.New(7, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +188,15 @@ func TestQuorumRoundSurvivesStoreDeath(t *testing.T) {
 
 // Two of three stores die mid-round: below Quorum 2 the round must return
 // a hard error naming the casualties, and the model version must not
-// advance.
+// advance. 200 photos per store make two batches per run (writes 2–3 and
+// 4–5 after the hello): store 1 loses run 0's final batch (write 3), store
+// 2 run 1's first (write 4).
 func TestQuorumHardErrorBelowQuorum(t *testing.T) {
 	wrap := func(i int, c net.Conn) net.Conn {
 		if i == 0 {
 			return c
 		}
-		inj, err := faultinject.New(int64(10+i), faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 20 + i})
+		inj, err := faultinject.New(int64(10+i), faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 2 + i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,9 +223,10 @@ func TestQuorumHardErrorBelowQuorum(t *testing.T) {
 }
 
 // An evicted store rejoins through AddStore, is caught up by a composite
-// delta, and participates fully in the next round.
+// delta, and participates fully in the next round. The victim (300 photos,
+// three batches per run) dies on write 3: run 0's second feature batch.
 func TestEvictedStoreRejoins(t *testing.T) {
-	inj, err := faultinject.New(3, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 20})
+	inj, err := faultinject.New(3, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +346,12 @@ func TestStaleEpochMessageDropped(t *testing.T) {
 		// the whole round).
 		_ = fs.codec.Send(&wire.Message{
 			Type: wire.MsgFeatures, StoreID: "time-traveler",
-			Run: 0, Rows: 1, Cols: 3, X: []float64{1, 2, 3}, Labels: []int{9}, Epoch: 99,
+			Run: 0, Rows: 1, Cols: 3, X: []wire.Half{0x3c00, 0x4000, 0x4200}, Labels: []int{9}, Epoch: 99,
 		})
 		// The real contribution, correctly tagged.
 		_ = fs.codec.Send(&wire.Message{
 			Type: wire.MsgFeatures, StoreID: "time-traveler",
-			Run: 0, Rows: 1, Cols: cols, X: make([]float64, cols), Labels: []int{0},
+			Run: 0, Rows: 1, Cols: cols, X: make([]wire.Half, cols), Labels: []int{0},
 			Final: true, Epoch: req.Epoch,
 		})
 		for {
@@ -385,12 +391,13 @@ func TestChaosSoakSeededKillRestart(t *testing.T) {
 		inj, err := faultinject.New(rng.Int63n(1<<30)+1, faultinject.Rule{
 			Kind: faultinject.Drop,
 			Op:   faultinject.OpWrite,
-			// Floor 32: gob's first Encode spends ~15 writes on type
-			// descriptors (the Message type graph includes the telemetry
-			// snapshot types) and the first command piggy-backs one metrics
-			// shipment, so lower thresholds can kill the hello/catch-up
-			// handshake itself instead of mid-round traffic.
-			After: 35 + int(rng.Int63n(40)),
+			// A session opens with at most three writes outside any round —
+			// hello, catch-up ack, first metrics shipment — and with 100
+			// photos a round is five more per store: one feature batch per
+			// run, spans, spans, ack. Messages 20–59 therefore fall in a
+			// session's rounds 4 to 10, at any of the five positions: a
+			// store dies about once per soak, never during the handshake.
+			After: 20 + int(rng.Int63n(40)),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -101,13 +101,14 @@ func ringClusterUp(t *testing.T, nStores, r, images int, seed int64, disk bool,
 }
 
 // The acceptance bar of the tentpole: at R=2, a store killed mid-round
-// (deterministic write-drop mid feature stream) commits degraded with
+// (its third write: after the hello and the first of run 0's two feature
+// batches, the second is dropped with the conn) commits degraded with
 // ImagesLost == 0 — every photo the dead store was serving is re-extracted
 // from a surviving replica — trains every photo exactly once, and lands on
 // the same committed version as an identical healthy run.
 func TestDurabilityRoundSurvivesStoreDeathZeroLoss(t *testing.T) {
 	const nImages = 600
-	inj, err := faultinject.New(7, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 26})
+	inj, err := faultinject.New(7, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,9 +373,11 @@ func TestQuarantinedObjectNeverServed(t *testing.T) {
 // After a store dies and the round commits degraded, Rebuild re-replicates
 // its objects from the survivors: with 3 members at R=2 collapsing to 2, every
 // photo must end up on both survivors, and the dead member leaves the ring.
+// The victim owns ~100 photos, one feature batch per run: its writes are the
+// hello, run 0's batch, and — dropped with the conn — run 1's.
 func TestRebuildRestoresReplicationAfterStoreLoss(t *testing.T) {
 	const nImages = 300
-	inj, err := faultinject.New(11, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 21})
+	inj, err := faultinject.New(11, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,10 +427,11 @@ func TestRebuildRestoresReplicationAfterStoreLoss(t *testing.T) {
 // reachable pusher or destination — must NOT retire the dead member from
 // the ring: the membership entry is the only record that those photos run
 // under-replicated. The pass errors, the ring is unchanged, and a retry
-// after the fleet stabilizes can still find the gap.
+// after the fleet stabilizes can still find the gap. The first victim dies
+// on its third write: run 1's (only) feature batch, after the hello and run 0's.
 func TestRebuildIncompleteKeepsRingMembership(t *testing.T) {
 	const nImages = 200
-	inj, err := faultinject.New(13, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 21})
+	inj, err := faultinject.New(13, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,18 @@
 package tuner
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"log/slog"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"ndpipe/internal/core"
+	"ndpipe/internal/durable"
 	"ndpipe/internal/wire"
 )
 
@@ -104,7 +110,7 @@ func TestBadRunIndexRejected(t *testing.T) {
 		_ = fs.codec.Send(&wire.Message{
 			Type: wire.MsgFeatures, StoreID: "confused",
 			Run: 99, Rows: 1, Cols: core.DefaultModelConfig().FeatureDim,
-			X: make([]float64, core.DefaultModelConfig().FeatureDim), Labels: []int{0}, Final: true,
+			X: make([]wire.Half, core.DefaultModelConfig().FeatureDim), Labels: []int{0}, Final: true,
 		})
 	}()
 	if _, err := tn.FineTune(1, 64, trainOpts()); err == nil {
@@ -124,7 +130,7 @@ func TestWrongFeatureWidthRejected(t *testing.T) {
 		_, _ = fs.codec.Recv()
 		_ = fs.codec.Send(&wire.Message{
 			Type: wire.MsgFeatures, StoreID: "narrow",
-			Run: 0, Rows: 1, Cols: 3, X: []float64{1, 2, 3}, Labels: []int{0}, Final: true,
+			Run: 0, Rows: 1, Cols: 3, X: []wire.Half{0x3c00, 0x4000, 0x4200}, Labels: []int{0}, Final: true,
 		})
 	}()
 	if _, err := tn.FineTune(1, 64, trainOpts()); err == nil {
@@ -188,5 +194,56 @@ func TestAcceptStoresDeadlineClearedForLateStores(t *testing.T) {
 	}
 	if tn.NumStores() != 1 {
 		t.Fatalf("stores = %d, want 1", tn.NumStores())
+	}
+}
+
+// The handshake rule: a hello carrying any protocol version but this node's
+// is refused with wire.ErrVersion before anything else in it is looked at —
+// the store is not registered, and the refusal is one warn line naming the
+// peer. The frame is built by hand, as a peer from another release would:
+// u32 length, u32 CRC32C, then type, store ID, four zero header varints and
+// the version byte.
+func TestAddStoreRefusesOtherProtocolVersion(t *testing.T) {
+	var logs bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	defer slog.SetDefault(prev)
+	tn, ln := tunerWithListener(t)
+
+	errCh := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			errCh <- err
+			return
+		}
+		errCh <- tn.AddStore(conn)
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload := append([]byte{byte(wire.MsgHello), 7}, "ps-next"...)
+	payload = append(payload, 0, 0, 0, 0, wire.ProtocolVersion+1, 0, 0, 0)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, durable.Checksum(payload))
+	if _, err := conn.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := <-errCh; !errors.Is(err, wire.ErrVersion) {
+		t.Fatalf("AddStore = %v, want wire.ErrVersion", err)
+	}
+	if n := tn.NumStores(); n != 0 {
+		t.Fatalf("%d stores registered after a refused hello", n)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("refused peer read %v, want the connection closed", err)
+	}
+	if n := strings.Count(logs.String(), "level=WARN"); n != 1 ||
+		!strings.Contains(logs.String(), "protocol version") || !strings.Contains(logs.String(), "ps-next") {
+		t.Fatalf("want exactly one warn line naming the store and the protocol version, got %d:\n%s", n, logs.String())
 	}
 }

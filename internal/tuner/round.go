@@ -647,7 +647,7 @@ func (t *Node) FineTuneTraced(parent telemetry.SpanContext, nrun, batch int, opt
 			b = &storeRunBuf{}
 			rc.ftBufs[msg.Run][sc.id] = b
 		}
-		b.rows = append(b.rows, msg.X...)
+		b.rows = wire.AppendFloat64s(b.rows, msg.X)
 		b.labels = append(b.labels, msg.Labels...)
 		if rc.ringMode() {
 			b.ids = append(b.ids, msg.IDs...)
@@ -655,10 +655,11 @@ func (t *Node) FineTuneTraced(parent telemetry.SpanContext, nrun, batch int, opt
 		if msg.Final {
 			b.finals++
 		}
-		rep.FeatureBytes += int64(len(msg.X)) * 8
-		t.met.featureBytes.Add(int64(len(msg.X)) * 8)
+		featureBytes := int64(len(msg.X)) * wire.HalfSize
+		rep.FeatureBytes += featureBytes
+		t.met.featureBytes.Add(featureBytes)
 		st := rc.stat(sc.id)
-		st.FeatureBytes += int64(len(msg.X)) * 8
+		st.FeatureBytes += featureBytes
 		if msg.Final && msg.Run == nrun-1 {
 			// The store's last pipelined run is in: its gather phase is done.
 			st.GatherSeconds = time.Since(rc.gatherStart).Seconds()

@@ -13,6 +13,7 @@
 package tuner
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -131,8 +132,7 @@ type storeConn struct {
 	id    string
 	codec *wire.Codec
 	conn  net.Conn
-	// enc is the delta wire encoding negotiated in the store's Hello
-	// (EncodingDense for legacy peers).
+	// enc is the delta wire encoding negotiated in the store's Hello.
 	enc delta.Encoding
 	// lastRun tracks the highest pipelined run this store has finished
 	// sending, so per-store extraction lag is visible while the Tuner
@@ -376,11 +376,20 @@ func (t *Node) AcceptStores(ln net.Listener, n int) error {
 // AddStore registers a PipeStore connection (expects its Hello) and starts
 // its reader. It is also the rejoin path: an evicted or restarted store
 // reconnects here, receives one composite catch-up delta bringing its
-// classifier to the current version, and is folded into the next round.
-func (t *Node) AddStore(conn net.Conn) error {
+// classifier to the current version, and is folded into the next round. A
+// store that fails registration is refused: its connection is closed.
+func (t *Node) AddStore(conn net.Conn) (err error) {
+	defer func() {
+		if err != nil {
+			_ = conn.Close()
+		}
+	}()
 	codec := wire.NewCodec(conn)
 	hello, err := codec.Recv()
 	if err != nil {
+		if errors.Is(err, wire.ErrVersion) {
+			t.log.Warn("store refused", slog.Any("err", err))
+		}
 		return fmt.Errorf("tuner: reading hello: %w", err)
 	}
 	if hello.Type != wire.MsgHello {
@@ -388,11 +397,7 @@ func (t *Node) AddStore(conn net.Conn) error {
 	}
 	enc := delta.Encoding(hello.DeltaEncoding)
 	if !enc.Valid() {
-		// A codec from the future: serve the store dense rather than reject
-		// it — legacy interop in the other direction.
-		t.log.Warn("store advertised unknown delta encoding, falling back to dense",
-			slog.String("store", hello.StoreID), slog.Int("encoding", int(hello.DeltaEncoding)))
-		enc = delta.EncodingDense
+		return fmt.Errorf("tuner: store %s advertised unknown delta encoding %d", hello.StoreID, hello.DeltaEncoding)
 	}
 	sc := &storeConn{
 		id: hello.StoreID, codec: codec, conn: conn, enc: enc,
@@ -402,7 +407,7 @@ func (t *Node) AddStore(conn net.Conn) error {
 	sc.touch()
 	// Late joiner: bring the store's classifier to the current version
 	// before it enters the fleet. The Hello carries the store's persisted
-	// version (0 for cold or pre-persistence stores), so a restarted store
+	// version (0 for a cold store), so a restarted store
 	// gets only the delta for the rounds it missed — or nothing, if its
 	// state is already current — instead of the full composite from v0.
 	blob, to, rebase, err := t.catchUpFor(sc.id, enc, hello.ModelVersion)
@@ -655,7 +660,7 @@ func (t *Node) catchUpFrom(from int) (blob []byte, to int, rebase bool, err erro
 	return blob, latest, true, nil
 }
 
-// catchUpFor is the encoding-aware catch-up: legacy stores take the plain
+// catchUpFor is the encoding-aware catch-up: dense stores take the plain
 // catchUpFrom path; compressed-encoding stores get their error-feedback
 // compressor resumed or rebuilt. A compressed store's additive stream only
 // makes sense against the exact state its compressor tracks, so unless the
@@ -710,7 +715,7 @@ func (t *Node) catchUpFor(storeID string, enc delta.Encoding, from int) (blob []
 }
 
 // encodeDeltaFor picks a store's wire form of the freshly committed version:
-// the shared dense blob for legacy stores, or the store's compressed
+// the shared dense blob for dense stores, or the store's compressed
 // error-feedback stream. Compress advances the tracked shipped state, so a
 // send that fails after this call leaves cs.version ahead of the store's
 // real version — exactly the mismatch catchUpFor detects on rejoin, which

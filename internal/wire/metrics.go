@@ -1,21 +1,19 @@
 package wire
 
-import (
-	"io"
-
-	"ndpipe/internal/telemetry"
-)
+import "ndpipe/internal/telemetry"
 
 // Protocol instrumentation: every codec in the process shares one set of
-// per-MsgType message counters plus byte counters, registered once in the
-// telemetry default registry. The hot path (Send/Recv and the stream
-// wrappers) only touches pre-registered atomic counters — no lookups, no
+// per-MsgType message counters, byte counters and rejected-frame counters,
+// registered once in the telemetry default registry. The hot path (Send and
+// Recv) only touches pre-registered atomic counters — no lookups, no
 // allocation.
 var (
-	sentMsgs  [lastMsgType + 1]*telemetry.Counter
-	recvMsgs  [lastMsgType + 1]*telemetry.Counter
-	sentBytes = telemetry.Default.Counter("wire_sent_bytes_total")
-	recvBytes = telemetry.Default.Counter("wire_recv_bytes_total")
+	sentMsgs       [lastMsgType + 1]*telemetry.Counter
+	recvMsgs       [lastMsgType + 1]*telemetry.Counter
+	sentBytes      = telemetry.Default.Counter("wire_sent_bytes_total")
+	recvBytes      = telemetry.Default.Counter("wire_recv_bytes_total")
+	oversizeFrames = telemetry.Default.Counter("wire_oversize_frames_total")
+	checksumErrors = telemetry.Default.Counter("wire_checksum_errors_total")
 )
 
 func init() {
@@ -35,23 +33,4 @@ func countRecv(t MsgType) {
 	if t >= MsgHello && t <= lastMsgType {
 		recvMsgs[t].Inc()
 	}
-}
-
-// countingStream wraps the codec's underlying stream and feeds the byte
-// counters, so wire traffic volume is visible on /metrics without touching
-// gob.
-type countingStream struct {
-	rw io.ReadWriter
-}
-
-func (c countingStream) Read(p []byte) (int, error) {
-	n, err := c.rw.Read(p)
-	recvBytes.Add(int64(n))
-	return n, err
-}
-
-func (c countingStream) Write(p []byte) (int, error) {
-	n, err := c.rw.Write(p)
-	sentBytes.Add(int64(n))
-	return n, err
 }

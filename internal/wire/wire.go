@@ -1,15 +1,14 @@
-// Package wire is the TCP protocol between the Tuner and its PipeStores:
-// gob-encoded, self-delimiting messages over a persistent connection. It
-// carries the whole FT-DMP conversation — training requests, fp16-style
-// feature batches, Check-N-Run model deltas, offline-inference requests and
-// label results.
+// Package wire is the TCP protocol between the Tuner and its PipeStores
+// (and between a leader Tuner and its standby): typed messages in
+// length-prefixed, CRC32C-checked binary frames over a persistent
+// connection. It carries the whole FT-DMP conversation — training requests,
+// fp16 feature batches, Check-N-Run model deltas, offline-inference requests
+// and label results. frame.go has the frame layout and the Codec, coder.go
+// the per-type field layout, half.go the binary16 conversion.
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"sync"
 
 	"ndpipe/internal/telemetry"
 )
@@ -95,15 +94,15 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("msgtype(%d)", uint8(t))
 }
 
-// Message is the single envelope exchanged on the wire. Only the fields
-// relevant to Type are populated.
+// Message is the single envelope exchanged on the wire. The first block is
+// the common header every frame carries; of the rest, only the fields listed
+// under the message's Type are encoded (see coder.message for the exact
+// layout) — anything else set on the struct does not leave the process.
 type Message struct {
 	Type    MsgType
 	StoreID string
 
-	// Trace context, carried on every traced message. The zero values mean
-	// "untraced", which is also what a pre-tracing peer's messages decode
-	// to (gob leaves absent fields zero), so old and new nodes interoperate.
+	// Trace context; the zero values mean "untraced".
 	Trace  telemetry.TraceID // trace this message belongs to
 	Parent telemetry.SpanID  // sender's span: the remote parent for receiver-side spans
 
@@ -111,19 +110,17 @@ type Message struct {
 	// stamps it on every request and stores echo it on every reply, so a
 	// buffered feature batch or ack left over from a failed round is
 	// detectably stale instead of poisoning the next round. Zero means
-	// "untagged" (a pre-epoch peer), which the Tuner accepts for
-	// compatibility.
+	// "outside any round" (registration, catch-up).
 	Epoch int
 
 	// LeaderEpoch extends the round-level Epoch to leader-level fencing: a
 	// tuner stamps its durable leadership term on every outbound message,
 	// and stores reject any message carrying a term lower than the highest
 	// they have seen — a deposed leader's delayed or replayed traffic can
-	// never advance state. Zero means "unfenced" (a pre-HA peer), which is
-	// accepted for compatibility.
+	// never advance state. Zero is a tuner that runs without HA: unfenced.
 	LeaderEpoch uint64
 
-	// MsgTrainRequest
+	// MsgTrainRequest / MsgInferRequest / MsgScrubQuery (BatchSize only)
 	Runs      int // pipeline depth Nrun
 	BatchSize int
 
@@ -139,8 +136,7 @@ type Message struct {
 	// PrevLive (set only on re-sent requests) is the live set the previous
 	// request carried: a store re-extracts only photos it owns NOW but did
 	// not own THEN, starting at run FromRun (earlier runs already trained).
-	// All fields gob-decode to nil/0 from a pre-replication tuner, which
-	// selects the legacy full-shard extraction path.
+	// An empty ring selects full-shard extraction (replication off).
 	RingStores  []string
 	LiveStores  []string
 	PrevLive    []string
@@ -160,38 +156,34 @@ type Message struct {
 	// in the IDs field of its MsgScrubReport. The tuner's anti-entropy pass
 	// diffs that inventory against ring placement to find replicas that are
 	// MISSING rather than corrupt — a replica write that failed at ingest
-	// leaves no bytes for any checksum to flag. Decodes false from
-	// pre-anti-entropy peers, which keep reporting quarantine-only.
+	// leaves no bytes for any checksum to flag.
 	Inventory bool
 
-	// MsgFeatures
+	// MsgFeatures. Rows also carries the accepted-object count on the
+	// MsgAck / MsgError reply to a MsgObjectPut; IDs also lists the wanted
+	// objects on MsgObjectFetch and the inventory on MsgScrubReport.
 	Run    int // which pipelined run this batch belongs to
 	Rows   int
 	Cols   int
-	X      []float64 // Rows×Cols row-major features
+	X      []Half // Rows×Cols row-major features, binary16; never non-finite
 	Labels []int
 	IDs    []uint64
-	Final  bool // last batch of this run from this store
+	Final  bool // last batch of this run from this store (MsgObjects: last chunk)
 
-	// MsgModelDelta / MsgLabels. MsgHello also carries ModelVersion: the
-	// store's persisted model version (0 = cold start), so the Tuner can
-	// ship a minimal catch-up delta instead of the full composite. Absent
-	// from pre-persistence stores, which gob-decodes to 0 — exactly the
-	// cold-start behaviour they had.
+	// MsgModelDelta / MsgLabels / MsgAck. MsgHello also carries ModelVersion:
+	// the store's persisted model version (0 = cold start), so the Tuner can
+	// ship a minimal catch-up delta instead of the full composite.
 	Blob         []byte
 	ModelVersion int
 	LabelsOut    map[uint64]int
 	// Rebase marks a catch-up delta computed against the deterministic
 	// initial classifier rather than the receiver's current snapshot — sent
 	// when the store's persisted version predates the Tuner's pruned history
-	// floor. Decodes as false from pre-rebase peers (gob zero value).
+	// floor.
 	Rebase bool
 	// DeltaEncoding negotiates the compressed delta codec (delta.Encoding as
 	// uint8). On MsgHello it is the best encoding the store can decode; on
-	// MsgModelDelta it names how Blob is encoded. The zero value is the
-	// legacy dense codec in both directions, so a pre-encoding peer — which
-	// never sets the field and decodes it as 0 — keeps sending and receiving
-	// exact dense f64 deltas unchanged.
+	// MsgModelDelta it names how Blob is encoded. Zero is the dense codec.
 	DeltaEncoding uint8
 
 	// MsgError
@@ -205,8 +197,7 @@ type Message struct {
 	// the fleet aggregator can merge losslessly), piggy-backed on round
 	// traffic like MsgSpans. MetricsSeq is the store's monotone shipment
 	// counter — the aggregator drops stale or duplicate sequence numbers, so
-	// retransmits cannot double-count. A pre-metrics peer decodes these to
-	// nil/0 and ignores them.
+	// retransmits cannot double-count.
 	Metrics    []telemetry.MetricPoint
 	MetricsSeq uint64
 
@@ -217,8 +208,8 @@ type Message struct {
 	// durable log's frame checksum, so a record is integrity-checked
 	// end-to-end: leader disk → wire → standby disk. Boot marks Blob as a
 	// full bootstrap seed rather than a single WAL record. On
-	// MsgStandbyHello, ModelVersion carries the standby's last applied
-	// version (informational). All decode to zero from pre-HA peers.
+	// MsgStandbyHello, ModelVersion and WALSeq carry the standby's last
+	// applied version and sequence (informational).
 	WALSeq uint64
 	WALCRC uint32
 	Boot   bool
@@ -251,67 +242,6 @@ func (m *Message) TraceContext() telemetry.SpanContext {
 func (m *Message) SetTraceContext(tc telemetry.SpanContext) {
 	m.Trace = tc.Trace
 	m.Parent = tc.Span
-}
-
-// Codec frames Messages over a stream with gob. It is safe for one
-// concurrent reader and one concurrent writer.
-type Codec struct {
-	wmu   sync.Mutex
-	enc   *gob.Encoder
-	dec   *gob.Decoder
-	guard *guardReader
-}
-
-// NewCodec wraps a bidirectional stream (typically a net.Conn). The stream
-// is transparently instrumented: per-MsgType message counts and total bytes
-// in each direction land in the telemetry default registry. Inbound frames
-// claiming more than DefaultMaxMessage decoded bytes fail the stream with
-// ErrTooLarge before any allocation happens.
-func NewCodec(rw io.ReadWriter) *Codec {
-	return NewCodecMax(rw, DefaultMaxMessage)
-}
-
-// NewCodecMax is NewCodec with an explicit decoded-message size limit
-// (max <= 0 selects DefaultMaxMessage).
-func NewCodecMax(rw io.ReadWriter, max int64) *Codec {
-	if max <= 0 {
-		max = DefaultMaxMessage
-	}
-	cs := countingStream{rw: rw}
-	g := &guardReader{r: cs, max: uint64(max)}
-	return &Codec{enc: gob.NewEncoder(cs), dec: gob.NewDecoder(g), guard: g}
-}
-
-// Send writes one message.
-func (c *Codec) Send(m *Message) error {
-	if m.Type == 0 {
-		return fmt.Errorf("wire: message has no type")
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.enc.Encode(m); err != nil {
-		return fmt.Errorf("wire: send %v: %w", m.Type, err)
-	}
-	countSent(m.Type)
-	return nil
-}
-
-// Recv reads the next message.
-func (c *Codec) Recv() (*Message, error) {
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		// Surface the guard's typed verdict even if gob rewrapped the read
-		// error on its way up.
-		if c.guard != nil && c.guard.err != nil {
-			return nil, c.guard.err
-		}
-		return nil, err
-	}
-	if m.Type == 0 {
-		return nil, fmt.Errorf("wire: received untyped message")
-	}
-	countRecv(m.Type)
-	return &m, nil
 }
 
 // SendError is a convenience for reporting a failure to the peer. A nil err

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"ndpipe/internal/telemetry"
 )
 
 // pipeCodec builds two codecs over an in-memory duplex pipe.
@@ -15,48 +17,24 @@ func pipeCodec() (*Codec, *Codec, func()) {
 	return NewCodec(a), NewCodec(b), func() { a.Close(); b.Close() }
 }
 
-func TestSendRecvRoundTrip(t *testing.T) {
-	ca, cb, done := pipeCodec()
-	defer done()
-	want := &Message{
-		Type: MsgFeatures, StoreID: "ps-1", Run: 2,
-		Rows: 2, Cols: 3,
-		X:      []float64{1, 2, 3, 4, 5, 6},
-		Labels: []int{0, 1},
-		IDs:    []uint64{10, 11},
-		Final:  true,
-	}
-	go func() {
-		if err := ca.Send(want); err != nil {
-			t.Error(err)
-		}
-	}()
-	got, err := cb.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != want.Type || got.StoreID != want.StoreID || got.Run != want.Run || !got.Final {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	for i := range want.X {
-		if got.X[i] != want.X[i] {
-			t.Fatalf("payload mismatch at %d", i)
-		}
-	}
-}
-
 func TestUntypedMessageRejected(t *testing.T) {
 	ca, _, done := pipeCodec()
 	defer done()
 	if err := ca.Send(&Message{}); err == nil {
 		t.Fatal("untyped message must be rejected")
 	}
+	if err := ca.Send(&Message{Type: lastMsgType + 1}); err == nil {
+		t.Fatal("a type with no layout must be rejected by the sender")
+	}
 }
 
 func TestSendError(t *testing.T) {
 	ca, cb, done := pipeCodec()
 	defer done()
-	go func() { _ = ca.SendError("ps-2", io.ErrUnexpectedEOF) }()
+	go func() {
+		_ = ca.SendError("ps-2", io.ErrUnexpectedEOF)
+		_ = ca.SendError("ps-3", nil)
+	}()
 	got, err := cb.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -64,20 +42,37 @@ func TestSendError(t *testing.T) {
 	if got.Type != MsgError || got.StoreID != "ps-2" || got.Err == "" {
 		t.Fatalf("error message = %+v", got)
 	}
+	if got, err = cb.Recv(); err != nil || got.Err != "unknown error" {
+		t.Fatalf("nil-error report = %+v (err %v), want Err=%q", got, err, "unknown error")
+	}
 }
 
-func TestConcurrentSendersDoNotInterleave(t *testing.T) {
+// Two goroutines hammer Send on one codec while a reader drains: with -race
+// this proves write serialization, and checking every payload proves frames
+// are never interleaved or corrupted.
+func TestConcurrentSendersPayloadIntegrity(t *testing.T) {
 	ca, cb, done := pipeCodec()
 	defer done()
-	const n = 50
+	const n = 100
+	payload := func(seq int) []Half {
+		x := make([]Half, 32)
+		for i := range x {
+			x[i] = Half(seq*32+i) & halfMax
+		}
+		return x
+	}
 	var wg sync.WaitGroup
-	wg.Add(2)
-	for s := 0; s < 2; s++ {
-		s := s
+	for w := 0; w < 2; w++ {
+		w := w
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				_ = ca.Send(&Message{Type: MsgAck, Run: s*1000 + i})
+				seq := w*n + i
+				if err := ca.Send(&Message{Type: MsgFeatures, Run: seq, X: payload(seq)}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -88,55 +83,39 @@ func TestConcurrentSendersDoNotInterleave(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seen[m.Run] {
-			t.Fatalf("duplicate message %d", m.Run)
+			t.Fatalf("duplicate frame %d", m.Run)
 		}
 		seen[m.Run] = true
+		want := payload(m.Run)
+		if len(m.X) != len(want) {
+			t.Fatalf("frame %d: %d halves, want %d", m.Run, len(m.X), len(want))
+		}
+		for j := range want {
+			if m.X[j] != want[j] {
+				t.Fatalf("frame %d corrupted at %d: %v != %v", m.Run, j, m.X[j], want[j])
+			}
+		}
 	}
 	wg.Wait()
-	if len(seen) != 2*n {
-		t.Fatalf("received %d unique messages", len(seen))
-	}
 }
 
 func TestMsgTypeString(t *testing.T) {
-	for _, mt := range []MsgType{MsgHello, MsgTrainRequest, MsgFeatures, MsgModelDelta, MsgInferRequest, MsgLabels, MsgAck, MsgError, MsgSpans, MsgPing, MsgPong} {
-		if mt.String() == "" {
-			t.Fatalf("empty name for %d", mt)
+	seen := map[string]bool{}
+	for mt := MsgHello; mt <= lastMsgType; mt++ {
+		name := mt.String()
+		if name == "" || seen[name] || name == MsgType(200).String() {
+			t.Fatalf("type %d has name %q", mt, name)
 		}
+		seen[name] = true
 	}
 	if MsgType(200).String() != "msgtype(200)" {
 		t.Fatal("unknown type rendering")
 	}
 }
 
-// The round-epoch tag survives the codec, and an untagged (pre-epoch) peer
-// message decodes to epoch 0.
-func TestEpochRoundTripAndLegacyZero(t *testing.T) {
-	ca, cb, done := pipeCodec()
-	defer done()
-	go func() {
-		_ = ca.Send(&Message{Type: MsgPing, Epoch: 7})
-		_ = ca.Send(&Message{Type: MsgPong}) // untagged
-	}()
-	got, err := cb.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != MsgPing || got.Epoch != 7 {
-		t.Fatalf("ping = %+v, want epoch 7", got)
-	}
-	got, err = cb.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 0 {
-		t.Fatalf("untagged message decoded with epoch %d", got.Epoch)
-	}
-}
-
-// Property: any message with LabelsOut maps survives a round trip through a
-// buffered stream.
-func TestCodecProperty(t *testing.T) {
+// Property: any label map — sparse IDs, negative labels — survives a round
+// trip through a buffered stream.
+func TestLabelsProperty(t *testing.T) {
 	f := func(ids []uint64, labels []int16) bool {
 		m := &Message{Type: MsgLabels, LabelsOut: map[uint64]int{}}
 		for i, id := range ids {
@@ -150,10 +129,7 @@ func TestCodecProperty(t *testing.T) {
 			return false
 		}
 		got, err := c.Recv()
-		if err != nil {
-			return false
-		}
-		if len(got.LabelsOut) != len(m.LabelsOut) {
+		if err != nil || len(got.LabelsOut) != len(m.LabelsOut) {
 			return false
 		}
 		for k, v := range m.LabelsOut {
@@ -172,7 +148,58 @@ func TestRecvOnClosedConn(t *testing.T) {
 	a, b := net.Pipe()
 	cb := NewCodec(b)
 	a.Close()
-	if _, err := cb.Recv(); err == nil {
-		t.Fatal("recv on closed conn must error")
+	if _, err := cb.Recv(); err != io.EOF {
+		t.Fatalf("recv on a conn closed between frames = %v, want bare io.EOF", err)
+	}
+}
+
+func TestTraceContextRoundTrip(t *testing.T) {
+	ca, cb, done := pipeCodec()
+	defer done()
+	tc := telemetry.SpanContext{Trace: telemetry.NewTraceID(), Span: 77}
+	msg := &Message{Type: MsgTrainRequest, StoreID: "ps-0", Runs: 1}
+	msg.SetTraceContext(tc)
+	go func() { _ = ca.Send(msg) }()
+	got, err := cb.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TraceContext() != tc {
+		t.Fatalf("trace context = %+v, want %+v", got.TraceContext(), tc)
+	}
+}
+
+func TestSetTraceContextZeroIsNoTrace(t *testing.T) {
+	var msg Message
+	msg.SetTraceContext(telemetry.SpanContext{})
+	if msg.Trace != 0 || msg.Parent != 0 || msg.TraceContext().Valid() {
+		t.Fatalf("zero context must stay zero: %+v", msg)
+	}
+}
+
+func TestCodecMetrics(t *testing.T) {
+	sent := telemetry.Default.Counter(telemetry.Labeled("wire_send_total", "type", "ack"))
+	recv := telemetry.Default.Counter(telemetry.Labeled("wire_recv_total", "type", "ack"))
+	sentBefore, recvBefore := sent.Value(), recv.Value()
+	outBefore, inBefore := sentBytes.Value(), recvBytes.Value()
+
+	var buf bytes.Buffer
+	c := NewCodec(&buf)
+	if err := c.Send(&Message{Type: MsgAck, StoreID: "ps-0"}); err != nil {
+		t.Fatal(err)
+	}
+	frameLen := int64(buf.Len())
+	if _, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	}
+
+	if d := sent.Value() - sentBefore; d != 1 {
+		t.Fatalf("send counter advanced by %d, want 1", d)
+	}
+	if d := recv.Value() - recvBefore; d != 1 {
+		t.Fatalf("recv counter advanced by %d, want 1", d)
+	}
+	if out, in := sentBytes.Value()-outBefore, recvBytes.Value()-inBefore; out != frameLen || in != frameLen {
+		t.Fatalf("byte counters advanced by %d out / %d in, want the frame's %d both ways", out, in, frameLen)
 	}
 }
