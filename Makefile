@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-smoke bench-test wire-fuzz chaos crash serve-smoke obs-smoke quant-smoke failover-smoke durability-smoke fmt-check ci
+.PHONY: all build test vet race bench bench-smoke bench-test wire-fuzz chaos crash serve-smoke obs-smoke quant-smoke failover-smoke durability-smoke fmt-check loc ci
 
 all: build vet test
 
@@ -96,18 +96,29 @@ failover-smoke:
 	$(GO) test -race -run 'TestFence|TestDialRetry|TestDialBackoff' ./internal/pipestore/
 
 # Durability chaos suite: replicated placement math, at-rest corruption
-# (CRC frames, quarantine, seeded bitflip/truncate injection), the
-# zero-ImagesLost degraded round at R=2, over-the-wire scrub/repair of an
-# injected bit-flip, quarantine-never-served, and the store-loss rebuild —
-# all under the race detector.
+# (CRC frames, quarantine, seeded bitflip/truncate injection), and every
+# test in internal/tuner/durability_test.go — the zero-ImagesLost degraded
+# round at R=2 and the Reconcile pass (bit-flip repair over the wire,
+# quarantine-never-served, missing-replica refill, store-loss retirement and
+# its refusals) — all under the race detector. The tuner test list is read
+# from the file, so a new durability test is never silently skipped.
+DURABILITY_TESTS = $(shell sed -n 's/^func \(Test[A-Za-z0-9_]*\)(t \*testing\.T).*/\1/p' internal/tuner/durability_test.go | paste -sd'|' -)
+
 durability-smoke:
 	$(GO) test -race ./internal/placement/ ./internal/photostore/
 	$(GO) test -race -run 'TestObject|TestParseFaults' ./internal/durable/
 	$(GO) test -race -run 'TestScrub|TestIngestReplica' ./internal/pipestore/
 	$(GO) test -race -run 'Replicat' ./internal/inferserver/
-	$(GO) test -race -v -run 'TestDurability|TestScrubRepairs|TestQuarantinedObject|TestRebuildRestores' ./internal/tuner/
+	$(GO) test -race -v -run '^($(DURABILITY_TESTS))$$' ./internal/tuner/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines per package and the total, outside bench/ (a module of
+# its own, frozen against the benchmark driver).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 ci: build vet fmt-check race bench bench-test wire-fuzz chaos crash serve-smoke obs-smoke quant-smoke failover-smoke durability-smoke

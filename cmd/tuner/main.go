@@ -243,30 +243,18 @@ func main() {
 	if rep.Degraded {
 		fmt.Printf("DEGRADED round: %d/%d stores survived (failed: %v), %d gathered images discarded\n",
 			rep.Participants-len(rep.FailedStores), rep.Participants, rep.FailedStores, rep.ImagesLost)
-		if *replication > 0 {
-			// Re-replicate the dead stores' objects from survivors so the
-			// fleet is back at full replication before the next round.
-			for _, dead := range rep.FailedStores {
-				rb, err := tn.Rebuild(dead)
-				if err != nil {
-					log.Warn("rebuild failed", slog.String("store", dead), slog.Any("err", err))
-					continue
-				}
-				fmt.Printf("REBUILD %s: %d objects (%.1f MB) re-replicated in %.2fs\n",
-					dead, rb.Objects, float64(rb.Bytes)/1e6, rb.Wall.Seconds())
-			}
-		}
 	}
 	if *replication > 0 {
-		// Refill replicas that were never written (failed upload fan-out,
-		// partial rebuilds) — absent copies have no bytes for checksum
-		// scrubbing to catch, so only an inventory-vs-ring diff finds them.
-		ae, err := tn.AntiEntropy()
+		// One reconcile pass refills every replica a live store lacks
+		// (a failed upload fan-out, a quarantined copy) and, when the round
+		// lost stores, re-replicates their objects and retires them.
+		rc, err := tn.Reconcile(0, rep.FailedStores...)
 		if err != nil {
-			log.Warn("anti-entropy failed", slog.Any("err", err))
-		} else if ae.Refills > 0 || ae.Failed > 0 {
-			fmt.Printf("ANTI-ENTROPY: %d replicas refilled, %d gaps unfilled (%d objects over %d stores, %.2fs)\n",
-				ae.Refills, ae.Failed, ae.Objects, ae.Stores, ae.Wall.Seconds())
+			log.Warn("reconcile failed", slog.Any("err", err))
+		}
+		if rc.Refilled > 0 || rc.Failed > 0 || len(rc.Retired) > 0 {
+			fmt.Printf("RECONCILE: %d replicas refilled (%.1f MB), %d unfilled, retired %v (%d objects over %d stores, %.2fs)\n",
+				rc.Refilled, float64(rc.Bytes)/1e6, rc.Failed, rc.Retired, rc.Objects, rc.Stores, rc.Wall.Seconds())
 		}
 	}
 

@@ -24,7 +24,7 @@ func main() {
 	rng := rand.New(rand.NewSource(12))
 
 	feat := func(b *dataset.Batch) *dataset.Batch {
-		return &dataset.Batch{X: backbone.Forward(b.X), Labels: b.Labels}
+		return &dataset.Batch{X: backbone.ForwardInto(nil, b.X), Labels: b.Labels}
 	}
 	train := func(clf *nn.Network, b *dataset.Batch) {
 		opt := ftdmp.DefaultTrainOptions()

@@ -41,7 +41,7 @@ func newLab(p Params) *lab {
 
 // feat pushes a raw batch through the frozen backbone.
 func (l *lab) feat(b *dataset.Batch) *dataset.Batch {
-	return &dataset.Batch{X: l.backbone.Forward(b.X), Labels: b.Labels, IDs: b.IDs}
+	return &dataset.Batch{X: l.backbone.ForwardInto(nil, b.X), Labels: b.Labels, IDs: b.IDs}
 }
 
 // newClf builds an untrained classifier head.

@@ -253,15 +253,15 @@ func Durability(p Params) (*Table, error) {
 	deadObjects := dead.Storage().Len()
 	deadMB := storeMB(dead)
 	rebuildStart := time.Now()
-	rb, err := f.tn.Rebuild(dead.ID)
+	rb, err := f.tn.Reconcile(0, dead.ID)
 	if err != nil {
 		f.close()
 		return nil, fmt.Errorf("durability rebuild: %w", err)
 	}
 	rebuildWall := time.Since(rebuildStart)
-	t.Add("store-loss-rebuild", rb.Objects, fmt.Sprintf("%.1f", float64(rb.Bytes)/1e6),
+	t.Add("store-loss-rebuild", rb.Refilled, fmt.Sprintf("%.1f", float64(rb.Bytes)/1e6),
 		fmt.Sprintf("%d", rebuildWall.Milliseconds()),
-		fmt.Sprintf("%.0f obj/s", float64(rb.Objects)/rebuildWall.Seconds()), 0)
+		fmt.Sprintf("%.0f obj/s", float64(rb.Refilled)/rebuildWall.Seconds()), 0)
 	f.close()
 
 	// --- At-rest bit-flips on disk: scrub detects them, quarantines, and
@@ -295,24 +295,24 @@ func Durability(p Params) (*Table, error) {
 		}
 	}
 	repairStart := time.Now()
-	stats, err := f.tn.ScrubRepair(0)
+	stats, err := f.tn.Reconcile(-1)
 	if err != nil {
 		f.close()
 		return nil, fmt.Errorf("durability scrub-repair: %w", err)
 	}
 	repairWall := time.Since(repairStart)
-	if stats.Repaired != flipped || stats.Failed != 0 {
+	if stats.Refilled != flipped || stats.Failed != 0 {
 		f.close()
 		return nil, fmt.Errorf("durability: %d bit-flips injected, repaired=%d failed=%d",
-			flipped, stats.Repaired, stats.Failed)
+			flipped, stats.Refilled, stats.Failed)
 	}
-	t.Add("bitflip-scrub-repair", stats.Repaired, "-", fmt.Sprintf("%d", repairWall.Milliseconds()),
-		fmt.Sprintf("%.1f ms/repair", float64(repairWall.Milliseconds())/float64(stats.Repaired)), 0)
+	t.Add("bitflip-scrub-repair", stats.Refilled, "-", fmt.Sprintf("%d", repairWall.Milliseconds()),
+		fmt.Sprintf("%.1f ms/repair", float64(repairWall.Milliseconds())/float64(stats.Refilled)), 0)
 	f.close()
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("placement: consistent-hash ring, R=%d over %d stores; a degraded commit re-extracts the dead store's photos from live replicas", repl, nStores),
-		fmt.Sprintf("rebuild re-replicates the dead store's %d objects (%.1f MB) from the designated surviving pusher of each", deadObjects, deadMB),
+		fmt.Sprintf("rebuild is one Reconcile pass retiring the dead store: its %d objects (%.1f MB) are refilled onto their survivor-ring replicas from the first surviving holder of each, and it leaves the ring only once every copy landed", deadObjects, deadMB),
 		"bit-flips are injected into at-rest raw frames; CRC32C verification quarantines on read and repair re-verifies end to end")
 	if !p.Quick {
 		if deadObjects >= 1000 && rebuildWall > rebuildWallGate {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,6 +83,26 @@ func TestFig9ShapeHolds(t *testing.T) {
 	c5Traffic := cell(t, tbl, conv5, 1) + cell(t, tbl, conv5, 2)
 	if fcTraffic <= c5Traffic {
 		t.Fatal("+FC traffic must surge past +Conv5")
+	}
+}
+
+// TestFig17PipeliningKeepsAccuracy: the §6.3 claim at full size — Nrun 1–3
+// train to within 3 points of each other and Nrun=4 is the lowest. Quick
+// size is too small for the claim to hold, so this runs the full exhibit.
+func TestFig17PipeliningKeepsAccuracy(t *testing.T) {
+	tbl, err := Fig17(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := cell(t, tbl, 0, 1), cell(t, tbl, 0, 1)
+	for r := 1; r < 3; r++ {
+		lo, hi = math.Min(lo, cell(t, tbl, r, 1)), math.Max(hi, cell(t, tbl, r, 1))
+	}
+	if hi-lo > 3 {
+		t.Fatalf("Nrun 1–3 top-1 spans %.2f–%.2f, want within 3 points", lo, hi)
+	}
+	if four := cell(t, tbl, 3, 1); four >= lo {
+		t.Fatalf("Nrun=4 top-1 %.2f must be the lowest (Nrun 1–3 min %.2f)", four, lo)
 	}
 }
 

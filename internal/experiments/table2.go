@@ -84,7 +84,7 @@ func table2Cell(t *Table, p Params, dv datasetVariant, mv modelVariant, trainN, 
 	backbone := nn.NewFeatureExtractor(cfg.Seed, cfg.InputDim, 64, mv.featDim)
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
 	feat := func(b *dataset.Batch) *dataset.Batch {
-		return &dataset.Batch{X: backbone.Forward(b.X), Labels: b.Labels}
+		return &dataset.Batch{X: backbone.ForwardInto(nil, b.X), Labels: b.Labels}
 	}
 	train := func(clf *nn.Network, b *dataset.Batch) error {
 		opt := ftdmp.DefaultTrainOptions()

@@ -40,7 +40,7 @@ func TestDumpLoadRoundtrip(t *testing.T) {
 func TestDumpCreatesStateDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "state")
 	reg := telemetry.NewRegistry()
-	reg.Flight().Record(telemetry.FlightPersist, "ps", "wal", 1, 0)
+	reg.Flight().Record(telemetry.FlightScrub, "ps", "wal", 1, 0)
 	if _, err := Dump(reg, "ps", dir, "manual"); err != nil {
 		t.Fatal(err)
 	}

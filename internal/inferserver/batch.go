@@ -266,8 +266,8 @@ func (s *Server) InferBatch(reqs []BatchRequest) []BatchResult {
 	// Secondary replica writes run alongside the primary groups. A failed
 	// replica write never fails the photo — the primary copy landed (or will
 	// report its own error); the object is merely under-replicated until the
-	// tuner's next anti-entropy pass (tuner.AntiEntropy) refills the missing
-	// copy from inventory-vs-ring diffing (checksum scrubbing cannot see an
+	// tuner's next reconcile pass (tuner.Reconcile) refills the missing
+	// copy from holdings-vs-ring diffing (checksum scrubbing cannot see an
 	// absent replica).
 	for si, rows := range replicaGroups {
 		wg.Add(1)

@@ -65,9 +65,9 @@ type serverMetrics struct {
 	errIngest *telemetry.Counter
 	// Replica-write failures: the upload still succeeded (another copy
 	// landed) but the object is under-replicated until the tuner's next
-	// anti-entropy pass (tuner.AntiEntropy) refills the missing replica —
+	// reconcile pass (tuner.Reconcile) refills the missing replica —
 	// checksum scrubbing alone cannot see it, there are no bytes to verify.
-	// A growing counter with no anti-entropy scheduled is a durability gap.
+	// A growing counter with no reconcile scheduled is a durability gap.
 	errReplica *telemetry.Counter
 }
 
@@ -273,9 +273,9 @@ func (s *Server) Upload(img dataset.Image) (UploadResult, error) {
 	// (+Offload), which the PipeStore compresses (+Comp). Under replication
 	// the write fans to every ring replica; the upload succeeds as long as
 	// at least one copy lands. A failed replica write leaves the photo
-	// under-replicated — not lost — until the tuner's next anti-entropy
-	// pass (tuner.AntiEntropy) diffs inventories against the ring and
-	// refills the missing copy; checksum scrubbing cannot see it.
+	// under-replicated — not lost — until the tuner's next reconcile pass
+	// (tuner.Reconcile) diffs store holdings against the ring and refills
+	// the missing copy; checksum scrubbing cannot see it.
 	var target *pipestore.Node
 	var lastErr error
 	for _, tgt := range targets {
@@ -297,7 +297,7 @@ func (s *Server) Upload(img dataset.Image) (UploadResult, error) {
 	// otherwise — even when the primary write failed and the bytes only
 	// landed on a secondary: placement is deterministic, so keeping the
 	// index ring-derived means every reader computes the same location,
-	// and anti-entropy restores the primary copy behind it.
+	// and the next reconcile pass restores the primary copy behind it.
 	s.db.Upsert(labeldb.Entry{
 		ImageID:      img.ID,
 		Label:        label,

@@ -362,7 +362,7 @@ func TestUploadReplicatesToAllReplicas(t *testing.T) {
 // When the primary replica's write fails but a secondary lands, the upload
 // succeeds and the label index still records the ring primary as Location:
 // placement is deterministic, so the index stays ring-derived and the
-// tuner's anti-entropy pass refills the primary copy behind it. StoreID in
+// tuner's reconcile pass refills the primary copy behind it. StoreID in
 // the result reports the replica that actually took the bytes.
 func TestUploadLocationStaysRingPrimaryOnPrimaryWriteFailure(t *testing.T) {
 	cfg := core.DefaultModelConfig()

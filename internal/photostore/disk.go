@@ -39,7 +39,7 @@ type ObjectStore interface {
 	// missing object returns a plain miss.
 	Verify(id uint64) (int64, error)
 	// Quarantined lists objects pulled from serving by a failed
-	// verification, ascending. They await read-repair from a replica.
+	// verification, ascending. They await a refill from a replica.
 	Quarantined() []uint64
 	// ClearQuarantine lifts id's quarantine after a repair re-put has been
 	// re-verified, discarding the preserved corrupt copy.
@@ -359,7 +359,7 @@ func (d *DiskStore) IDs() []uint64 {
 // quarantine pulls a corrupt object from serving: both parts move to
 // quar/ (preserved as evidence — see the DiskStore comment for why not
 // delete), the meta entry drops so Len/IDs/Usage stop advertising it, and
-// the ID lands on the Quarantined list for read-repair. Idempotent under
+// the ID lands on the Quarantined list awaiting a refill. Idempotent under
 // concurrent detection.
 func (d *DiskStore) quarantine(id uint64, part string, why error) {
 	d.mu.Lock()

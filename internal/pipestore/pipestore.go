@@ -60,15 +60,12 @@ type Node struct {
 	imageIdx   map[uint64]int // image ID → index in images (replica dedup)
 	store      photostore.ObjectStore
 
-	// Durability plumbing (see scrub.go): replicaSrc answers read-repair
-	// fetches when the node runs in-process next to its replicas (over the
-	// wire the tuner brokers repair instead); scrubCursor remembers where
-	// the bounded-rate background scrub left off. scrubMu serializes this
+	// Durability plumbing (see scrub.go): scrubCursor remembers where the
+	// bounded-rate background scrub left off. scrubMu serializes this
 	// node's scrub passes (the background loop and any synchronous
 	// MsgScrubQuery-driven pass): the cursor is single-writer by
-	// construction. Per node, so one store's slow repair never blocks
-	// another's scrubbing in an in-process fleet.
-	replicaSrc  ReplicaSource
+	// construction. Per node, so one store's slow scrub never blocks
+	// another's in an in-process fleet.
 	scrubCursor uint64
 	scrubMu     sync.Mutex
 
@@ -119,12 +116,10 @@ type nodeMetrics struct {
 	stagesFT       *npe.StageMetrics
 	stagesInfer    *npe.StageMetrics
 
-	// Durability instruments (scrub, read-repair, replication).
+	// Durability instruments (scrub, replication).
 	scrubObjects   *telemetry.Counter
 	scrubCorrupt   *telemetry.Counter
 	scrubBytes     *telemetry.Counter
-	repairs        *telemetry.Counter
-	repairFails    *telemetry.Counter
 	extractSkips   *telemetry.Counter
 	replicaIngests *telemetry.Counter
 	replicaRejects *telemetry.Counter
@@ -145,8 +140,6 @@ func newNodeMetrics(reg *telemetry.Registry, id string) nodeMetrics {
 		scrubObjects:   reg.Counter(lbl("pipestore_scrub_objects_total")),
 		scrubCorrupt:   reg.Counter(lbl("pipestore_scrub_corrupt_total")),
 		scrubBytes:     reg.Counter(lbl("pipestore_scrub_bytes_total")),
-		repairs:        reg.Counter(lbl("pipestore_repairs_total")),
-		repairFails:    reg.Counter(lbl("pipestore_repair_failures_total")),
 		extractSkips:   reg.Counter(lbl("pipestore_extract_skips_total")),
 		replicaIngests: reg.Counter(lbl("pipestore_replica_ingests_total")),
 		replicaRejects: reg.Counter(lbl("pipestore_replica_rejects_total")),
@@ -908,36 +901,14 @@ func (n *Node) serveOne(c *wire.Codec, msg *wire.Message) error {
 		// A non-zero BatchSize asks for a synchronous scrub pass before
 		// reporting — how the tuner drives scrubbing without relying on the
 		// store's own background cadence. Negative = scrub the whole holding;
-		// zero = just report the current quarantine.
+		// zero = just report. IDs lists every object with servable bytes;
+		// quarantined objects are only in Quarantined, so the tuner counts
+		// them missing and refills them like a replica never written.
 		if msg.BatchSize != 0 {
 			n.ScrubOnce(msg.BatchSize)
 		}
-		rep := &wire.Message{Type: wire.MsgScrubReport, StoreID: n.ID,
-			Quarantined: n.store.Quarantined(), Epoch: epoch}
-		if msg.Inventory {
-			// Anti-entropy inventory: every object with servable bytes here.
-			// Quarantined objects are deliberately absent — reported missing,
-			// the tuner refills them from a healthy replica just like a
-			// replica that was never written.
-			rep.IDs = n.store.IDs()
-		}
-		if err := c.Send(rep); err != nil {
-			return err
-		}
-	case wire.MsgRebuildRequest:
-		objs, rerr := n.rebuildSet(msg)
-		if rerr != nil {
-			logger.Error("rebuild set failed", slog.Any("err", rerr))
-			sendErr(rerr)
-			return nil
-		}
-		var bytes int64
-		for _, o := range objs {
-			bytes += int64(len(o.Raw) + len(o.Pre))
-		}
-		n.reg.Flight().Record(telemetry.FlightRebuild, "pipestore", n.ID, int64(len(objs)), bytes)
-		logger.Debug("rebuild push", slog.Int("objects", len(objs)), slog.Int64("bytes", bytes))
-		if err := n.sendObjects(c, objs, epoch); err != nil {
+		if err := c.Send(&wire.Message{Type: wire.MsgScrubReport, StoreID: n.ID,
+			Quarantined: n.store.Quarantined(), IDs: n.store.IDs(), Epoch: epoch}); err != nil {
 			return err
 		}
 	default:

@@ -1,9 +1,10 @@
 // Photo durability on the store side (S36): the background scrubber that
-// walks local objects verifying their at-rest checksums, the read-repair
-// path that refills quarantined objects from a healthy replica, and the
+// walks local objects verifying their at-rest checksums, and the
 // ring-routed extraction / object-transfer handlers behind replicated
-// placement. The placement math itself lives in internal/placement; this
-// file is what a store does with it.
+// placement. Repair is the tuner's Reconcile pass, which refills
+// quarantined and missing objects through IngestReplica. The placement
+// math itself lives in internal/placement; this file is what a store does
+// with it.
 package pipestore
 
 import (
@@ -26,51 +27,6 @@ import (
 // envelope. Raw photos run tens of KB, so 64 keeps a chunk well under the
 // wire size limit while amortizing the per-message framing and round trip.
 const objectChunk = 64
-
-// ReplicaSource answers read-repair fetches with a healthy copy of an
-// object. In-process fleets (tests, experiments) wire stores to their
-// replicas directly via PeerSource; over the wire the tuner brokers repair
-// instead (MsgScrubQuery → MsgObjectFetch → MsgObjectPut), because stores
-// never talk to each other.
-type ReplicaSource interface {
-	FetchObject(id uint64) (wire.ObjectData, error)
-}
-
-// ReplicaSourceFunc adapts a function to ReplicaSource.
-type ReplicaSourceFunc func(id uint64) (wire.ObjectData, error)
-
-// FetchObject implements ReplicaSource.
-func (f ReplicaSourceFunc) FetchObject(id uint64) (wire.ObjectData, error) { return f(id) }
-
-// SetReplicaSource wires the node's read-repair path to a source of healthy
-// replicas. With a source set, every scrub pass ends by re-fetching and
-// re-verifying whatever is quarantined.
-func (n *Node) SetReplicaSource(src ReplicaSource) {
-	n.mu.Lock()
-	n.replicaSrc = src
-	n.mu.Unlock()
-}
-
-// PeerSource builds a ReplicaSource over in-process peer nodes: a fetch
-// returns the first healthy copy any peer can serve. Peers whose own copy
-// is quarantined simply miss, so a fetch succeeds as long as one replica
-// anywhere is intact.
-func PeerSource(peers ...*Node) ReplicaSource {
-	return ReplicaSourceFunc(func(id uint64) (wire.ObjectData, error) {
-		var lastErr error
-		for _, p := range peers {
-			od, err := p.ObjectData(id)
-			if err == nil {
-				return od, nil
-			}
-			lastErr = err
-		}
-		if lastErr == nil {
-			lastErr = fmt.Errorf("pipestore: no replica source holds object %d", id)
-		}
-		return wire.ObjectData{}, lastErr
-	})
-}
 
 // ObjectData packages a local object for the wire: both parts read (and
 // therefore CRC-verified) from the store, with fresh checksums the receiver
@@ -101,8 +57,7 @@ func (n *Node) ObjectData(id uint64) (wire.ObjectData, error) {
 	return od, nil
 }
 
-// IngestReplica stores replicated or repaired objects pushed by a peer (via
-// the tuner). Both checksums are verified before anything touches storage —
+// IngestReplica stores replicated or repaired objects relayed by the tuner. Both checksums are verified before anything touches storage —
 // a flip anywhere between the producer's disk and here is rejected, counted,
 // and never persisted. A successfully stored object that was quarantined
 // locally is re-verified and released from quarantine: this is the repair
@@ -166,9 +121,8 @@ func (n *Node) IngestReplica(objs []wire.ObjectData) (int, error) {
 // ScrubOnce verifies up to limit objects (≤0 = all), resuming where the
 // previous pass left off and wrapping, so a bounded per-tick rate still
 // covers the whole store over successive ticks. Corrupt objects are
-// quarantined by Verify itself; when a ReplicaSource is wired the pass ends
-// with a repair sweep over everything quarantined. Returns objects checked
-// and corruptions found this pass.
+// quarantined by Verify itself and wait for the tuner's Reconcile pass to
+// refill them. Returns objects checked and corruptions found this pass.
 func (n *Node) ScrubOnce(limit int) (checked, corrupt int) {
 	n.scrubMu.Lock()
 	defer n.scrubMu.Unlock()
@@ -201,38 +155,7 @@ func (n *Node) ScrubOnce(limit int) (checked, corrupt int) {
 		n.met.scrubBytes.Add(bytes)
 		n.reg.Flight().Record(telemetry.FlightScrub, "pipestore", n.ID, int64(checked), int64(corrupt))
 	}
-	n.RepairQuarantined()
 	return checked, corrupt
-}
-
-// RepairQuarantined read-repairs every quarantined object from the wired
-// ReplicaSource: fetch a healthy copy, re-ingest it (CRC-verified), which
-// re-verifies and lifts the quarantine. No-op without a source — over the
-// wire the tuner drives the same repair via MsgObjectPut instead.
-func (n *Node) RepairQuarantined() (repaired, failed int) {
-	n.mu.Lock()
-	src := n.replicaSrc
-	n.mu.Unlock()
-	if src == nil {
-		return 0, 0
-	}
-	for _, id := range n.store.Quarantined() {
-		od, err := src.FetchObject(id)
-		if err == nil {
-			_, err = n.IngestReplica([]wire.ObjectData{od})
-		}
-		if err != nil {
-			failed++
-			n.met.repairFails.Inc()
-			n.reg.Flight().Record(telemetry.FlightRepair, "pipestore", n.ID, int64(id), 0)
-			n.log.Warn("read-repair failed", "id", id, "err", err)
-			continue
-		}
-		repaired++
-		n.met.repairs.Inc()
-		n.reg.Flight().Record(telemetry.FlightRepair, "pipestore", n.ID, int64(id), 1)
-	}
-	return repaired, failed
 }
 
 // StartScrub runs ScrubOnce(perTick) every interval until the returned stop
@@ -332,73 +255,6 @@ func (n *Node) offlineInferOwned(tc telemetry.SpanContext, msg *wire.Message) (m
 	}
 	shard := n.ownedShard(ring, placement.LiveSet(msg.LiveStores), nil)
 	return n.offlineInferShard(tc, shard, msg.BatchSize)
-}
-
-// rebuildSet computes the objects this store must push after msg.StoreID
-// (the dead member) left the ring: for every local photo the dead store
-// replicated, the first live survivor in the old walk order is the
-// designated pusher — exactly one survivor pushes each object — and the
-// targets are the members that gained the object on the survivor ring.
-// Quarantined local copies are skipped (another survivor repairs us first).
-func (n *Node) rebuildSet(msg *wire.Message) ([]wire.ObjectData, error) {
-	dead := msg.StoreID
-	oldRing, err := placement.New(msg.RingStores, msg.Replication)
-	if err != nil {
-		return nil, fmt.Errorf("pipestore %s: %w", n.ID, err)
-	}
-	survivors := placement.Without(msg.RingStores, dead)
-	if len(survivors) == 0 {
-		return nil, fmt.Errorf("pipestore %s: rebuild with no survivors", n.ID)
-	}
-	newRing, err := placement.New(survivors, msg.Replication)
-	if err != nil {
-		return nil, fmt.Errorf("pipestore %s: %w", n.ID, err)
-	}
-	live := placement.LiveSet(msg.LiveStores)
-	n.mu.Lock()
-	ids := make([]uint64, len(n.images))
-	for i, img := range n.images {
-		ids[i] = img.ID
-	}
-	n.mu.Unlock()
-	var out []wire.ObjectData
-	for _, id := range ids {
-		oldReps := oldRing.Replicas(id)
-		held := false
-		pusher := ""
-		for _, m := range oldReps {
-			if m == dead {
-				held = true
-			} else if pusher == "" && live(m) {
-				pusher = m
-			}
-		}
-		if !held || pusher != n.ID {
-			continue
-		}
-		for _, t := range newRing.Replicas(id) {
-			if contains(oldReps, t) {
-				continue // already holds it
-			}
-			od, err := n.ObjectData(id)
-			if err != nil {
-				n.log.Warn("rebuild skip: local copy unreadable", "id", id, "err", err)
-				break
-			}
-			od.Dest = t
-			out = append(out, od)
-		}
-	}
-	return out, nil
-}
-
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // sendObjects streams ObjectData payloads back in bounded MsgObjects

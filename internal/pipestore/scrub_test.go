@@ -49,46 +49,17 @@ func flipRawByte(t *testing.T, dir string, id uint64) {
 	}
 }
 
-// A scrub pass detects an at-rest bit-flip, quarantines the object, and —
-// with a peer replica wired as the repair source — heals it in the same
-// pass: the re-read copy matches the peer's byte for byte.
-func TestScrubQuarantinesAndRepairsFromPeer(t *testing.T) {
-	a, world, dir := diskStore(t, "scrub-a", 60)
-	b, _ := newStore(t, 60) // same seed/world shape: holds healthy copies
-	id := world.Images()[0].ID
-	flipRawByte(t, dir, id)
-	a.SetReplicaSource(PeerSource(b))
-
-	checked, corrupt := a.ScrubOnce(0)
-	if checked != 60 || corrupt != 1 {
-		t.Fatalf("checked=%d corrupt=%d, want 60/1", checked, corrupt)
-	}
-	if q := a.Storage().Quarantined(); len(q) != 0 {
-		t.Fatalf("quarantine not lifted after repair: %v", q)
-	}
-	got, err := a.Storage().GetRaw(id)
-	if err != nil {
-		t.Fatalf("repaired object unreadable: %v", err)
-	}
-	want, err := b.Storage().GetRaw(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("repaired object differs from the peer's copy")
-	}
-}
-
-// Without a replica source, scrub still quarantines — and a quarantined
-// object is never served until something repairs it.
+// A scrub pass detects an at-rest bit-flip and quarantines the object; the
+// store never repairs itself — the tuner's Reconcile pass refills it — so a
+// quarantined object is never served in the meantime.
 func TestScrubWithoutSourceQuarantinesOnly(t *testing.T) {
 	a, world, dir := diskStore(t, "scrub-b", 40)
 	id := world.Images()[3].ID
 	flipRawByte(t, dir, id)
 
-	_, corrupt := a.ScrubOnce(0)
-	if corrupt != 1 {
-		t.Fatalf("corrupt=%d, want 1", corrupt)
+	checked, corrupt := a.ScrubOnce(0)
+	if checked != 40 || corrupt != 1 {
+		t.Fatalf("checked=%d corrupt=%d, want 40/1", checked, corrupt)
 	}
 	if q := a.Storage().Quarantined(); len(q) != 1 || q[0] != id {
 		t.Fatalf("quarantined = %v, want [%d]", q, id)

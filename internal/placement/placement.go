@@ -10,8 +10,8 @@
 //     R, so the tuner, every store and the ingest front end compute the
 //     same placement independently — no placement service, no gossip.
 //   - Minimal movement: removing a member only reassigns photos that member
-//     carried; every other photo keeps its replica set. Rebuild after a
-//     store loss therefore copies exactly the dead store's objects.
+//     carried; every other photo keeps its replica set. Retiring a lost
+//     store therefore copies exactly the dead store's objects.
 //
 // Ownership for extraction is a view over the same ring: the owner of a
 // photo is its first replica that is currently live, so when a store dies

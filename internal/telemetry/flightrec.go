@@ -39,8 +39,6 @@ const (
 	FlightDeltaApply  = "delta-apply"  // code=store/encoding, v1=version, v2=bytes
 	FlightCatchUp     = "catch-up"     // code=store, v1=to-version, v2=bytes
 	FlightShed        = "shed"         // code=reason
-	FlightPersist     = "persist"      // code=what, v1=bytes
-	FlightRecover     = "recover"      // code=what, v1=version
 	FlightExtractRun  = "extract-run"  // v1=run, v2=images
 	FlightDump        = "dump"         // the recorder itself being dumped
 
@@ -53,12 +51,11 @@ const (
 	FlightDegraded      = "degraded"       // code=component, v1=1 enter / 0 exit
 
 	// Photo durability taxonomy (S36).
-	FlightScrub       = "scrub"        // code=store, v1=objects checked, v2=corrupt found
-	FlightQuarantine  = "quarantine"   // code=store, v1=object id
-	FlightRepair      = "repair"       // code=store, v1=object id, v2=1 ok / 0 failed
-	FlightReroute     = "reroute"      // code=dead store, v1=epoch, v2=from-run
-	FlightRebuild     = "rebuild"      // code=dead store, v1=objects copied, v2=bytes
-	FlightAntiEntropy = "anti-entropy" // code=store, v1=replicas refilled, v2=gaps unfilled
+	FlightScrub      = "scrub"      // code=store, v1=objects checked, v2=corrupt found
+	FlightQuarantine = "quarantine" // code=store, v1=object id
+	FlightReroute    = "reroute"    // code=dead store, v1=epoch, v2=from-run
+	FlightRefill     = "refill"     // code=store, v1=copies refilled, v2=copies unfilled
+	FlightRetire     = "retire"     // code=retired member, v1=ring members left
 )
 
 // FlightRecorder is a bounded, allocation-free ring of structured events —

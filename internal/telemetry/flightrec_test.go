@@ -64,7 +64,7 @@ func TestRegistryFlightRecorderWired(t *testing.T) {
 	if reg.Flight() == nil {
 		t.Fatal("registry has no flight recorder")
 	}
-	reg.Flight().Record(FlightPersist, "test", "wal", 128, 0)
+	reg.Flight().Record(FlightScrub, "test", "wal", 128, 0)
 	if reg.Flight().Len() != 1 {
 		t.Fatal("event not recorded")
 	}

@@ -1,15 +1,16 @@
 // Photo durability on the tuner side (S36): the replicated-placement
-// switch, the tuner-brokered scrub/repair pass, and the rebuild pass that
-// re-replicates a dead member's objects across the survivors. Stores never
-// talk to each other — every object that moves between stores is relayed
-// through the tuner (MsgObjects in, MsgObjectPut out), which keeps the
-// store protocol a single tuner-facing connection.
+// switch and Reconcile, the one repair loop that refills every missing or
+// quarantined replica and retires dead members. Stores never talk to each
+// other — every object that moves between stores is relayed through the
+// tuner (MsgObjects in, MsgObjectPut out), which keeps the store protocol a
+// single tuner-facing connection.
 package tuner
 
 import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -19,9 +20,9 @@ import (
 	"ndpipe/internal/wire"
 )
 
-// rebuildChunk bounds objects per relayed MsgObjectPut (mirrors the store
+// relayChunk bounds objects per relayed MsgObjectPut (mirrors the store
 // side's chunking of MsgObjects).
-const rebuildChunk = 64
+const relayChunk = 64
 
 // EnableReplication turns on replicated placement with factor r: ingest
 // fans each photo to its r ring replicas, train/infer requests carry the
@@ -55,7 +56,7 @@ func (t *Node) RingMembers() []string {
 	return out
 }
 
-// durabilityPass snapshots the state a scrub/rebuild pass runs over: the
+// durabilityPass snapshots the state a Reconcile pass runs over: the
 // pass gets its own epoch so every reply is staleness-tagged exactly like
 // round traffic.
 type durabilityPass struct {
@@ -114,18 +115,6 @@ func (t *Node) drainInbox(span *telemetry.Span, epoch int, timeout time.Duration
 	return nil
 }
 
-// storeByID finds a live store connection.
-func (t *Node) storeByID(id string) *storeConn {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, sc := range t.stores {
-		if sc.id == id {
-			return sc
-		}
-	}
-	return nil
-}
-
 // fetchObjects asks one store for healthy copies of the given IDs and
 // collects its chunked reply. Missing/quarantined objects are simply absent
 // from the result.
@@ -177,8 +166,8 @@ func (t *Node) pushObjects(span *telemetry.Span, sc *storeConn, objs []wire.Obje
 	total := 0
 	for len(objs) > 0 {
 		chunk := objs
-		if len(chunk) > rebuildChunk {
-			chunk = objs[:rebuildChunk]
+		if len(chunk) > relayChunk {
+			chunk = objs[:relayChunk]
 		}
 		objs = objs[len(chunk):]
 		msg := &wire.Message{Type: wire.MsgObjectPut, Objects: chunk, Epoch: epoch}
@@ -223,96 +212,201 @@ func (t *Node) pushObjects(span *telemetry.Span, sc *storeConn, objs []wire.Obje
 	return total, nil
 }
 
-// ScrubStats summarizes one tuner-driven scrub/repair pass.
-type ScrubStats struct {
-	Stores      int                 // stores queried
+// ReconcileStats summarizes one Reconcile pass.
+type ReconcileStats struct {
+	Stores      int                 // stores that answered the query
+	Objects     int                 // distinct objects reported fleet-wide, held or quarantined
 	Quarantined map[string][]uint64 // store → quarantined IDs it reported
-	Repaired    int                 // objects re-pushed and re-verified
-	Failed      int                 // quarantined objects no replica could heal
+	Missing     map[string][]uint64 // store → objects its ring slots owe but it cannot serve
+	Refilled    int                 // missing copies pushed and re-verified by their store
+	Failed      int                 // missing copies left unfilled
+	Bytes       int64               // payload bytes relayed
+	Retired     []string            // members this pass retired from the ring
 	Wall        time.Duration
 }
 
-// ScrubRepair drives one fleet-wide scrub/repair pass: every live store
-// scrubs up to scrubBatch objects synchronously (≤0 = its whole holding)
-// and reports its quarantine list; for each quarantined object the tuner
-// fetches a healthy copy from another live ring replica and relays it back
-// to the damaged store, whose re-put re-verifies end to end and lifts the
-// quarantine. An object is Failed only when no live replica holds an intact
-// copy.
-func (t *Node) ScrubRepair(scrubBatch int) (ScrubStats, error) {
+// Reconcile is the one repair loop: it makes every live ring replica hold a
+// verified copy of every object, and optionally retires dead members.
+//
+//  1. Query: every live store scrubs (scrub = 0 skips the scrub, < 0 scrubs
+//     the whole holding, n scrubs up to n objects) and reports the IDs it can
+//     serve plus its quarantine list.
+//  2. Diff: the desired ring is the membership minus retire; the object
+//     universe is every reported ID, held or quarantined. A live desired
+//     replica lacking a servable copy — never written, dropped, or
+//     quarantined — is missing that object.
+//  3. Refill: each gap is fetched from the first live store, in
+//     registration order, whose report holds the object, and relayed to the
+//     replica, whose re-put re-verifies both checksums end to end and lifts
+//     any quarantine.
+//  4. Retire: the retire members leave the ring only if every remaining
+//     member answered and every object a retiree replicated reached all of
+//     its new replicas. Otherwise the pass errors with membership unchanged:
+//     the entry is the only record that those objects run under-replicated.
+//
+// An object counts as Failed only when no live store holds an intact copy
+// (or the replica refused it). Retirees must be ring members and must not be
+// live; evict a store before retiring it.
+func (t *Node) Reconcile(scrub int, retire ...string) (ReconcileStats, error) {
 	start := time.Now()
 	p, err := t.beginDurabilityPass()
 	if err != nil {
-		return ScrubStats{}, err
+		return ReconcileStats{}, err
 	}
-	span := telemetry.Default.Spans().StartTrace("tuner.scrub-repair")
+	survivors := p.members
+	for _, dead := range retire {
+		if !slices.Contains(p.members, dead) {
+			return ReconcileStats{}, fmt.Errorf("tuner: %s is not a ring member", dead)
+		}
+		for _, sc := range p.live {
+			if sc.id == dead {
+				return ReconcileStats{}, fmt.Errorf("tuner: %s is still live; evict it before retiring it", dead)
+			}
+		}
+		survivors = placement.Without(survivors, dead)
+	}
+	oldRing, err := placement.New(p.members, p.r)
+	if err != nil {
+		return ReconcileStats{}, err
+	}
+	ring, err := placement.New(survivors, p.r)
+	if err != nil {
+		return ReconcileStats{}, err
+	}
+	span := telemetry.Default.Spans().StartTrace("tuner.reconcile")
 	defer span.End()
-	stats := ScrubStats{Quarantined: make(map[string][]uint64)}
-	if scrubBatch <= 0 {
-		scrubBatch = -1 // on the wire, negative = scrub the whole holding
+	stats := ReconcileStats{Quarantined: make(map[string][]uint64), Missing: make(map[string][]uint64)}
+
+	held, err := t.queryHoldings(span, p, scrub, &stats)
+	if err != nil {
+		return stats, err
 	}
+	answered := make(map[string]*storeConn, len(held))
+	universe := make(map[uint64]bool)
+	for sc, set := range held {
+		answered[sc.id] = sc
+		for id := range set {
+			universe[id] = true
+		}
+	}
+	for _, ids := range stats.Quarantined {
+		for _, id := range ids {
+			universe[id] = true
+		}
+	}
+	stats.Stores, stats.Objects = len(held), len(universe)
+
+	for id := range universe {
+		for _, m := range ring.Replicas(id) {
+			// Members that did not answer are skipped: healed when they
+			// rejoin, or retired by a later pass.
+			if sc := answered[m]; sc != nil && !held[sc][id] {
+				stats.Missing[m] = append(stats.Missing[m], id)
+			}
+		}
+	}
+	// Every way a retiree's object can silently stay under-replicated — a
+	// remaining member that never answered, a copy no store could supply, a
+	// push the replica refused — lands in gaps, and any gap vetoes retiring.
+	var gaps []string
+	if len(retire) > 0 {
+		for _, m := range survivors {
+			if answered[m] == nil {
+				gaps = append(gaps, fmt.Sprintf("member %s did not answer", m))
+			}
+		}
+	}
+	targets := make([]string, 0, len(stats.Missing))
+	for m := range stats.Missing {
+		targets = append(targets, m)
+	}
+	sort.Strings(targets)
+	for _, m := range targets {
+		ids := stats.Missing[m]
+		slices.Sort(ids)
+		n, bytes, left := t.refill(span, p, held, answered[m], ids)
+		stats.Refilled += n
+		stats.Failed += len(ids) - n
+		stats.Bytes += bytes
+		telemetry.Default.Flight().Record(telemetry.FlightRefill, "tuner", m, int64(n), int64(len(ids)-n))
+		owed := 0
+		for _, id := range left {
+			if slices.ContainsFunc(oldRing.Replicas(id), func(m string) bool { return slices.Contains(retire, m) }) {
+				owed++
+			}
+		}
+		if owed > 0 {
+			gaps = append(gaps, fmt.Sprintf("%s still lacks %d retiree objects", m, owed))
+		}
+	}
+	if len(retire) > 0 {
+		if len(gaps) > 0 {
+			stats.Wall = time.Since(start)
+			return stats, fmt.Errorf("tuner: retiring %v incomplete, ring membership unchanged (retry after the fleet stabilizes): %s",
+				retire, strings.Join(gaps, "; "))
+		}
+		// Placement's minimal-movement property means only the retirees'
+		// objects changed replica sets, and those copies now exist.
+		t.mu.Lock()
+		for _, dead := range retire {
+			t.ringMembers = placement.Without(t.ringMembers, dead)
+			telemetry.Default.Flight().Record(telemetry.FlightRetire, "tuner", dead, int64(len(survivors)), 0)
+		}
+		t.mu.Unlock()
+		stats.Retired = slices.Clone(retire)
+	}
+	stats.Wall = time.Since(start)
+	if stats.Refilled > 0 || stats.Failed > 0 || len(stats.Retired) > 0 {
+		t.log.Info("reconcile pass complete",
+			slog.Int("objects", stats.Objects), slog.Int("refilled", stats.Refilled),
+			slog.Int("failed", stats.Failed), slog.Any("retired", stats.Retired),
+			slog.Duration("wall", stats.Wall))
+	}
+	return stats, nil
+}
+
+// queryHoldings sends every live store one MsgScrubQuery and collects the
+// reports: the IDs each answering store can serve, keyed by store, with
+// each quarantine list recorded in stats.
+func (t *Node) queryHoldings(span *telemetry.Span, p durabilityPass, scrub int, stats *ReconcileStats) (map[*storeConn]map[uint64]bool, error) {
+	held := make(map[*storeConn]map[uint64]bool, len(p.live))
 	pending := make(map[*storeConn]bool, len(p.live))
 	for _, sc := range p.live {
-		req := &wire.Message{Type: wire.MsgScrubQuery, BatchSize: scrubBatch, Epoch: p.epoch}
+		req := &wire.Message{Type: wire.MsgScrubQuery, BatchSize: scrub, Epoch: p.epoch}
 		if err := t.sendWithDeadline(sc, req, p.o.StoreTimeout); err != nil {
 			t.evict(sc, err, span)
 			continue
 		}
 		pending[sc] = true
-		stats.Stores++
 	}
-	err = t.drainInbox(span, p.epoch, p.o.RoundTimeout,
+	err := t.drainInbox(span, p.epoch, p.o.RoundTimeout,
 		func() bool { return len(pending) == 0 },
 		func(sc *storeConn, msg *wire.Message) {
 			if msg.Type != wire.MsgScrubReport || !pending[sc] {
 				t.met.staleMsgs.Inc()
 				return
 			}
+			delete(pending, sc)
+			set := make(map[uint64]bool, len(msg.IDs))
+			for _, id := range msg.IDs {
+				set[id] = true
+			}
+			held[sc] = set
 			if len(msg.Quarantined) > 0 {
 				stats.Quarantined[sc.id] = msg.Quarantined
 			}
-			delete(pending, sc)
 		},
 		func(sc *storeConn, err error) { delete(pending, sc) })
-	if err != nil {
-		return stats, err
-	}
-	ring, err := placement.New(p.members, p.r)
-	if err != nil {
-		return stats, err
-	}
-	damaged := make([]string, 0, len(stats.Quarantined))
-	for id := range stats.Quarantined {
-		damaged = append(damaged, id)
-	}
-	sort.Strings(damaged)
-	for _, storeID := range damaged {
-		target := t.storeByID(storeID)
-		ids := stats.Quarantined[storeID]
-		if target == nil {
-			stats.Failed += len(ids)
-			continue
-		}
-		n := t.refill(span, p, ring, target, ids)
-		stats.Repaired += n
-		stats.Failed += len(ids) - n
-		telemetry.Default.Flight().Record(telemetry.FlightRepair, "tuner", target.id, int64(n), int64(len(ids)-n))
-	}
-	stats.Wall = time.Since(start)
-	if stats.Repaired > 0 || stats.Failed > 0 {
-		t.log.Info("scrub/repair pass complete",
-			slog.Int("repaired", stats.Repaired), slog.Int("failed", stats.Failed),
-			slog.Duration("wall", stats.Wall))
-	}
-	return stats, nil
+	return held, err
 }
 
-// refill fetches healthy copies of ids from the live ring replicas that
-// hold them (excluding target itself) and relays them to target, whose
-// re-put re-verifies both checksums end to end. Returns how many objects
-// target accepted. Shared by ScrubRepair (refilling quarantined objects)
-// and AntiEntropy (refilling absent ones).
-func (t *Node) refill(span *telemetry.Span, p durabilityPass, ring *placement.Ring, target *storeConn, ids []uint64) int {
+// refill fetches healthy copies of ids from the stores whose reports hold
+// them — asked in registration order, so the first holder serves each object
+// and later holders cover whatever it failed to send — and relays them to
+// target. Returns how many objects target accepted, the bytes relayed, and
+// the ids target may still lack.
+func (t *Node) refill(span *telemetry.Span, p durabilityPass, held map[*storeConn]map[uint64]bool,
+	target *storeConn, ids []uint64) (int, int64, []uint64) {
 	need := make(map[uint64]bool, len(ids))
 	for _, id := range ids {
 		need[id] = true
@@ -322,23 +416,18 @@ func (t *Node) refill(span *telemetry.Span, p durabilityPass, ring *placement.Ri
 		if src == target || src.evicted.Load() || len(need) == 0 {
 			continue
 		}
-		// Only ask src for the objects it actually replicates.
 		var ask []uint64
-		for id := range need {
-			for _, m := range ring.Replicas(id) {
-				if m == src.id {
-					ask = append(ask, id)
-					break
-				}
+		for _, id := range ids {
+			if need[id] && held[src][id] {
+				ask = append(ask, id)
 			}
 		}
 		if len(ask) == 0 {
 			continue
 		}
-		sort.Slice(ask, func(i, j int) bool { return ask[i] < ask[j] })
 		objs, ferr := t.fetchObjects(span, src, ask, p.epoch, p.o)
 		if ferr != nil {
-			t.log.Warn("repair fetch failed", slog.String("source", src.id), slog.Any("err", ferr))
+			t.log.Warn("refill fetch failed", slog.String("source", src.id), slog.Any("err", ferr))
 		}
 		for _, od := range objs {
 			if need[od.ID] {
@@ -349,261 +438,18 @@ func (t *Node) refill(span *telemetry.Span, p durabilityPass, ring *placement.Ri
 	}
 	n, perr := t.pushObjects(span, target, healthy, p.epoch, p.o)
 	if perr != nil {
-		t.log.Warn("repair push failed", slog.String("store", target.id), slog.Any("err", perr))
+		t.log.Warn("refill push failed", slog.String("store", target.id), slog.Any("err", perr))
 	}
-	return n
-}
-
-// AntiEntropyStats summarizes one missing-replica anti-entropy pass.
-type AntiEntropyStats struct {
-	Stores  int                 // stores inventoried
-	Objects int                 // distinct objects seen fleet-wide
-	Missing map[string][]uint64 // store → objects the ring assigns it but it lacks
-	Refills int                 // missing replicas refilled (pushed and re-verified)
-	Failed  int                 // gaps no live replica could fill
-	Wall    time.Duration
-}
-
-// AntiEntropy drives one fleet-wide missing-replica check: every live
-// store reports the object IDs it holds, the tuner diffs each store's
-// holdings against ring placement, and every replica the ring assigns to a
-// live store that the store does not hold is refilled from a live replica
-// with a healthy copy. ScrubRepair heals *corrupt* copies, which announce
-// themselves through checksums; this pass heals *absent* ones — a replica
-// write that failed at ingest, or an object dropped by an interrupted
-// rebuild — which no checksum can flag because there are no bytes to
-// check. Ring members that are not live are skipped (they are healed here
-// when they rejoin, or retired by Rebuild). An object counts as Failed
-// only when no live replica holds an intact copy.
-func (t *Node) AntiEntropy() (AntiEntropyStats, error) {
-	start := time.Now()
-	p, err := t.beginDurabilityPass()
-	if err != nil {
-		return AntiEntropyStats{}, err
+	var bytes int64
+	left := make([]uint64, 0, len(need))
+	for id := range need {
+		left = append(left, id)
 	}
-	span := telemetry.Default.Spans().StartTrace("tuner.anti-entropy")
-	defer span.End()
-	stats := AntiEntropyStats{Missing: make(map[string][]uint64)}
-	held := make(map[string]map[uint64]bool, len(p.live))
-	pending := make(map[*storeConn]bool, len(p.live))
-	for _, sc := range p.live {
-		req := &wire.Message{Type: wire.MsgScrubQuery, Inventory: true, Epoch: p.epoch}
-		if err := t.sendWithDeadline(sc, req, p.o.StoreTimeout); err != nil {
-			t.evict(sc, err, span)
-			continue
-		}
-		pending[sc] = true
-		stats.Stores++
-	}
-	err = t.drainInbox(span, p.epoch, p.o.RoundTimeout,
-		func() bool { return len(pending) == 0 },
-		func(sc *storeConn, msg *wire.Message) {
-			if msg.Type != wire.MsgScrubReport || !pending[sc] {
-				t.met.staleMsgs.Inc()
-				return
-			}
-			set := make(map[uint64]bool, len(msg.IDs))
-			for _, id := range msg.IDs {
-				set[id] = true
-			}
-			held[sc.id] = set
-			delete(pending, sc)
-		},
-		func(sc *storeConn, err error) { delete(pending, sc) })
-	if err != nil {
-		return stats, err
-	}
-	ring, err := placement.New(p.members, p.r)
-	if err != nil {
-		return stats, err
-	}
-	// The object universe is the union of every inventory: an object exists
-	// if any live store holds it, and then every live ring replica owes a
-	// copy.
-	universe := make(map[uint64]bool)
-	for _, set := range held {
-		for id := range set {
-			universe[id] = true
+	for _, od := range healthy {
+		bytes += int64(len(od.Raw) + len(od.Pre))
+		if n < len(healthy) {
+			left = append(left, od.ID) // partial accept: which ones is unknown
 		}
 	}
-	stats.Objects = len(universe)
-	for id := range universe {
-		for _, m := range ring.Replicas(id) {
-			set, inventoried := held[m]
-			if !inventoried {
-				continue // not live this pass: healed on rejoin, or rebuilt
-			}
-			if !set[id] {
-				stats.Missing[m] = append(stats.Missing[m], id)
-			}
-		}
-	}
-	targets := make([]string, 0, len(stats.Missing))
-	for id := range stats.Missing {
-		targets = append(targets, id)
-	}
-	sort.Strings(targets)
-	for _, storeID := range targets {
-		ids := stats.Missing[storeID]
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		target := t.storeByID(storeID)
-		if target == nil {
-			stats.Failed += len(ids)
-			continue
-		}
-		n := t.refill(span, p, ring, target, ids)
-		stats.Refills += n
-		stats.Failed += len(ids) - n
-		telemetry.Default.Flight().Record(telemetry.FlightAntiEntropy, "tuner", target.id, int64(n), int64(len(ids)-n))
-	}
-	stats.Wall = time.Since(start)
-	if stats.Refills > 0 || stats.Failed > 0 {
-		t.log.Info("anti-entropy pass complete",
-			slog.Int("objects", stats.Objects), slog.Int("refilled", stats.Refills),
-			slog.Int("failed", stats.Failed), slog.Duration("wall", stats.Wall))
-	}
-	return stats, nil
-}
-
-// RebuildReport summarizes re-replicating one dead member's objects.
-type RebuildReport struct {
-	Dead    string
-	Objects int            // objects copied to new replicas (accepted acks)
-	Bytes   int64          // payload bytes relayed
-	Targets map[string]int // objects gained per destination store
-	Wall    time.Duration
-}
-
-// Rebuild re-replicates everything the dead store held: each survivor
-// computes (from the ring) the objects it is the designated pusher for,
-// streams them to the tuner, and the tuner relays each object to the
-// destination that gains it on the survivor ring. Only when every push was
-// delivered is dead retired from the ring membership — consistent hashing
-// guarantees only its photos moved, and those copies now exist. If any
-// pusher or destination dropped out mid-pass, the ring is left unchanged
-// and an error names the gaps: retiring it anyway would erase the only
-// record that those photos run under-replicated, with no later pass able
-// to discover the missing (non-quarantined) replicas. Retry once the fleet
-// stabilizes. Call after a round reports the store failed (or after any
-// eviction).
-func (t *Node) Rebuild(dead string) (RebuildReport, error) {
-	start := time.Now()
-	p, err := t.beginDurabilityPass()
-	if err != nil {
-		return RebuildReport{}, err
-	}
-	member := false
-	for _, m := range p.members {
-		if m == dead {
-			member = true
-			break
-		}
-	}
-	if !member {
-		return RebuildReport{}, fmt.Errorf("tuner: %s is not a ring member", dead)
-	}
-	for _, sc := range p.live {
-		if sc.id == dead {
-			return RebuildReport{}, fmt.Errorf("tuner: %s is still live; evict it before rebuilding", dead)
-		}
-	}
-	span := telemetry.Default.Spans().StartTrace("tuner.rebuild")
-	span.SetAttr("dead", dead)
-	defer span.End()
-	liveIDs := make([]string, 0, len(p.live))
-	for _, sc := range p.live {
-		liveIDs = append(liveIDs, sc.id)
-	}
-	rep := RebuildReport{Dead: dead, Targets: make(map[string]int)}
-	// Every way a rebuilt object can silently go missing — a pusher that
-	// never got the request, refused it, or died mid-stream; a destination
-	// that is gone; a push only partially accepted — lands in gaps. Any gap
-	// vetoes the ring retirement below.
-	var gaps []string
-	pending := make(map[*storeConn]bool, len(p.live))
-	for _, sc := range p.live {
-		req := &wire.Message{Type: wire.MsgRebuildRequest, StoreID: dead,
-			RingStores: p.members, LiveStores: liveIDs, Replication: p.r, Epoch: p.epoch}
-		if err := t.sendWithDeadline(sc, req, p.o.StoreTimeout); err != nil {
-			t.evict(sc, err, span)
-			gaps = append(gaps, fmt.Sprintf("pusher %s unreachable: %v", sc.id, err))
-			continue
-		}
-		pending[sc] = true
-	}
-	byDest := make(map[string][]wire.ObjectData)
-	err = t.drainInbox(span, p.epoch, p.o.RoundTimeout,
-		func() bool { return len(pending) == 0 },
-		func(sc *storeConn, msg *wire.Message) {
-			if !pending[sc] {
-				t.met.staleMsgs.Inc()
-				return
-			}
-			switch msg.Type {
-			case wire.MsgObjects:
-				for _, od := range msg.Objects {
-					byDest[od.Dest] = append(byDest[od.Dest], od)
-				}
-				if msg.Final {
-					delete(pending, sc)
-				}
-			case wire.MsgError:
-				t.log.Warn("rebuild push refused", slog.String("store", sc.id), slog.String("err", msg.Err))
-				gaps = append(gaps, fmt.Sprintf("pusher %s refused: %s", sc.id, msg.Err))
-				delete(pending, sc)
-			default:
-				t.met.staleMsgs.Inc()
-			}
-		},
-		func(sc *storeConn, err error) {
-			if pending[sc] {
-				gaps = append(gaps, fmt.Sprintf("pusher %s lost mid-stream: %v", sc.id, err))
-			}
-			delete(pending, sc)
-		})
-	if err != nil {
-		return rep, err
-	}
-	dests := make([]string, 0, len(byDest))
-	for d := range byDest {
-		dests = append(dests, d)
-	}
-	sort.Strings(dests)
-	for _, dest := range dests {
-		objs := byDest[dest]
-		sc := t.storeByID(dest)
-		if sc == nil {
-			t.log.Warn("rebuild destination not live", slog.String("store", dest), slog.Int("objects", len(objs)))
-			gaps = append(gaps, fmt.Sprintf("destination %s not live (%d objects undelivered)", dest, len(objs)))
-			continue
-		}
-		n, perr := t.pushObjects(span, sc, objs, p.epoch, p.o)
-		rep.Objects += n
-		rep.Targets[dest] += n
-		for _, od := range objs {
-			rep.Bytes += int64(len(od.Raw) + len(od.Pre))
-		}
-		if perr != nil {
-			return rep, fmt.Errorf("tuner: rebuilding onto %s: %w", dest, perr)
-		}
-		if n < len(objs) {
-			gaps = append(gaps, fmt.Sprintf("destination %s accepted %d of %d objects", dest, n, len(objs)))
-		}
-	}
-	if len(gaps) > 0 {
-		rep.Wall = time.Since(start)
-		return rep, fmt.Errorf("tuner: rebuild of %s incomplete, ring membership unchanged (retry after the fleet stabilizes): %s",
-			dead, strings.Join(gaps, "; "))
-	}
-	// Retire the dead member: placement's minimal-movement property means
-	// only its photos changed replica sets, and those copies now exist.
-	t.mu.Lock()
-	t.ringMembers = placement.Without(t.ringMembers, dead)
-	t.mu.Unlock()
-	rep.Wall = time.Since(start)
-	telemetry.Default.Flight().Record(telemetry.FlightRebuild, "tuner", dead, int64(rep.Objects), rep.Bytes)
-	t.log.Info("rebuild complete", slog.String("dead", dead),
-		slog.Int("objects", rep.Objects), slog.Int64("bytes", rep.Bytes),
-		slog.Duration("wall", rep.Wall))
-	return rep, nil
+	return n, bytes, left
 }

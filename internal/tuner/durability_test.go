@@ -1,9 +1,10 @@
 // Durability chaos suite (S36): deterministic fault schedules against the
 // replicated photo layer. A store killed mid-round at R=2 must yield a
 // degraded commit with ImagesLost == 0 and the same committed version as a
-// healthy run; an injected at-rest bit-flip must be detected by scrub and
-// repaired from a replica without the corrupt bytes ever being served; a
-// rebuild pass must restore full replication after an eviction.
+// healthy run; one Reconcile pass must detect an injected at-rest bit-flip
+// and repair it from a replica without the corrupt bytes ever being served,
+// refill a replica that was never written, and restore full replication
+// after an eviction before retiring the dead member.
 package tuner
 
 import (
@@ -11,6 +12,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ndpipe/internal/core"
@@ -23,10 +25,11 @@ import (
 
 // ringClusterUp builds a replicated fleet: every photo is ingested into all
 // r of its ring replicas, and the tuner routes rounds by ownership. With
-// disk=true each store runs on a DiskStore under a temp dir (so tests can
-// flip bits in object files); otherwise photos live in memory.
+// disk=true each store runs on a DiskStore under a temp dir, returned in
+// dirs so tests can flip bits in object files; otherwise photos live in
+// memory and dirs is nil.
 func ringClusterUp(t *testing.T, nStores, r, images int, seed int64, disk bool,
-	wrap func(i int, c net.Conn) net.Conn) (*Node, []*chaosStore, *dataset.World, net.Listener, *placement.Ring) {
+	wrap func(i int, c net.Conn) net.Conn) (*Node, []*chaosStore, *dataset.World, *placement.Ring, []string) {
 	t.Helper()
 	cfg := core.DefaultModelConfig()
 	wcfg := dataset.DefaultConfig(seed)
@@ -56,11 +59,13 @@ func ringClusterUp(t *testing.T, nStores, r, images int, seed int64, disk bool,
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dirs []string
 	var stores []*chaosStore
 	for i := 0; i < nStores; i++ {
 		var ps *pipestore.Node
 		if disk {
-			photos, perr := photostore.OpenDir(filepath.Join(t.TempDir(), "photos"))
+			dirs = append(dirs, filepath.Join(t.TempDir(), "photos"))
+			photos, perr := photostore.OpenDir(dirs[i])
 			if perr != nil {
 				t.Fatal(perr)
 			}
@@ -97,7 +102,7 @@ func ringClusterUp(t *testing.T, nStores, r, images int, seed int64, disk bool,
 	if err := <-accepted; err != nil {
 		t.Fatal(err)
 	}
-	return tn, stores, world, ln, ring
+	return tn, stores, world, ring, dirs
 }
 
 // The acceptance bar of the tentpole: at R=2, a store killed mid-round
@@ -173,83 +178,12 @@ func flipObjectByte(t *testing.T, ps *pipestore.Node, dir string, id uint64) {
 	_ = ps // the node stays live; its next CRC-verified read detects the flip
 }
 
-// diskRingClusterUp variant that exposes each store's photo directory.
-func diskRingClusterUp(t *testing.T, nStores, r, images int, seed int64) (*Node, []*chaosStore, *dataset.World, *placement.Ring, []string) {
-	t.Helper()
-	dirs := make([]string, nStores)
-	for i := range dirs {
-		dirs[i] = filepath.Join(t.TempDir(), fmt.Sprintf("photos-%d", i))
-	}
-	cfg := core.DefaultModelConfig()
-	wcfg := dataset.DefaultConfig(seed)
-	wcfg.InitialImages = images
-	world := dataset.NewWorld(wcfg)
-
-	tn, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tn.EnableReplication(r); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close(); tn.Close() })
-	accepted := make(chan error, 1)
-	go func() { accepted <- tn.AcceptStores(ln, nStores) }()
-
-	members := make([]string, nStores)
-	for i := range members {
-		members[i] = fmt.Sprintf("cs-%d", i)
-	}
-	ring, err := placement.New(members, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stores []*chaosStore
-	for i := 0; i < nStores; i++ {
-		photos, perr := photostore.OpenDir(dirs[i])
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		ps, err := pipestore.NewWithStorage(members[i], cfg, photos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var owned []dataset.Image
-		for _, img := range world.Images() {
-			for _, rep := range ring.Replicas(img.ID) {
-				if rep == ps.ID {
-					owned = append(owned, img)
-					break
-				}
-			}
-		}
-		if err := ps.Ingest(owned); err != nil {
-			t.Fatal(err)
-		}
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := &chaosStore{ps: ps, conn: conn, done: make(chan error, 1)}
-		go func() { cs.done <- cs.ps.Serve(cs.conn) }()
-		stores = append(stores, cs)
-	}
-	if err := <-accepted; err != nil {
-		t.Fatal(err)
-	}
-	return tn, stores, world, ring, dirs
-}
-
-// An at-rest bit-flip is detected by the fleet-wide scrub pass, quarantined,
-// and repaired end to end over the wire — tuner fetches a healthy copy from
-// the other ring replica and relays it back — after which the object reads
-// back byte-identical to the original.
+// An at-rest bit-flip is detected by the reconcile pass's fleet-wide scrub,
+// quarantined, and repaired end to end over the wire — the tuner fetches a
+// healthy copy from the other ring replica and relays it back — after which
+// the object reads back byte-identical to the original.
 func TestScrubRepairsInjectedBitflipOverWire(t *testing.T) {
-	tn, stores, world, ring, dirs := diskRingClusterUp(t, 3, 2, 120, 43)
+	tn, stores, world, ring, dirs := ringClusterUp(t, 3, 2, 120, 43, true, nil)
 
 	// Corrupt one photo's raw object on its first replica.
 	var victimImg dataset.Image
@@ -268,7 +202,7 @@ func TestScrubRepairsInjectedBitflipOverWire(t *testing.T) {
 	}
 	flipObjectByte(t, stores[victimStore].ps, dirs[victimStore], victimImg.ID)
 
-	stats, err := tn.ScrubRepair(0)
+	stats, err := tn.Reconcile(-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +213,8 @@ func TestScrubRepairsInjectedBitflipOverWire(t *testing.T) {
 	if len(q) != 1 || q[0] != victimImg.ID {
 		t.Fatalf("store %s quarantined %v, want [%d]", stores[victimStore].ps.ID, q, victimImg.ID)
 	}
-	if stats.Repaired != 1 || stats.Failed != 0 {
-		t.Fatalf("repaired=%d failed=%d, want 1/0", stats.Repaired, stats.Failed)
+	if stats.Refilled != 1 || stats.Failed != 0 {
+		t.Fatalf("repaired=%d failed=%d, want 1/0", stats.Refilled, stats.Failed)
 	}
 	raw, err := stores[victimStore].ps.Storage().GetRaw(victimImg.ID)
 	if err != nil {
@@ -312,7 +246,7 @@ func TestScrubRepairsInjectedBitflipOverWire(t *testing.T) {
 // bytes), the round routes around it — the survivor replica extracts it —
 // and after repair the fleet is whole again.
 func TestQuarantinedObjectNeverServed(t *testing.T) {
-	tn, stores, world, ring, dirs := diskRingClusterUp(t, 3, 2, 150, 47)
+	tn, stores, world, ring, dirs := ringClusterUp(t, 3, 2, 150, 47, true, nil)
 	tn.SetRoundOptions(chaosRoundOptions())
 
 	img := world.Images()[0]
@@ -352,14 +286,14 @@ func TestQuarantinedObjectNeverServed(t *testing.T) {
 		t.Fatalf("trained %d images, want %d (all but the quarantined one)", rep.Images, want)
 	}
 
-	// Scrub/repair heals the flip from the surviving replica; the next
-	// round is whole.
-	stats, err := tn.ScrubRepair(0)
+	// Reconcile heals the flip from the surviving replica; the next round
+	// is whole.
+	stats, err := tn.Reconcile(-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Repaired != 1 {
-		t.Fatalf("repaired = %d, want 1", stats.Repaired)
+	if stats.Refilled != 1 {
+		t.Fatalf("repaired = %d, want 1", stats.Refilled)
 	}
 	rep2, err := tn.FineTune(2, 32, soakOpts())
 	if err != nil {
@@ -370,8 +304,8 @@ func TestQuarantinedObjectNeverServed(t *testing.T) {
 	}
 }
 
-// After a store dies and the round commits degraded, Rebuild re-replicates
-// its objects from the survivors: with 3 members at R=2 collapsing to 2, every
+// After a store dies and the round commits degraded, a reconcile pass that
+// retires it re-replicates its objects from the survivors: with 3 members at R=2 collapsing to 2, every
 // photo must end up on both survivors, and the dead member leaves the ring.
 // The victim owns ~100 photos, one feature batch per run: its writes are the
 // hello, run 0's batch, and — dropped with the conn — run 1's.
@@ -400,12 +334,15 @@ func TestRebuildRestoresReplicationAfterStoreLoss(t *testing.T) {
 	}
 	dead := stores[victim].ps.ID
 
-	rb, err := tn.Rebuild(dead)
+	rb, err := tn.Reconcile(0, dead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb.Objects == 0 {
+	if rb.Refilled == 0 {
 		t.Fatal("rebuild moved no objects")
+	}
+	if len(rb.Retired) != 1 || rb.Retired[0] != dead {
+		t.Fatalf("retired %v, want [%s]", rb.Retired, dead)
 	}
 	for _, m := range tn.RingMembers() {
 		if m == dead {
@@ -422,10 +359,10 @@ func TestRebuildRestoresReplicationAfterStoreLoss(t *testing.T) {
 	}
 }
 
-// A rebuild that cannot prove every object was delivered — here a second
-// store drops before the pass, so some of the dead member's photos have no
-// reachable pusher or destination — must NOT retire the dead member from
-// the ring: the membership entry is the only record that those photos run
+// A retiring pass that cannot prove every object was delivered — here a
+// second store drops before the pass, so a remaining ring member never
+// answers and some of the dead member's photos have no reachable source or
+// destination — must NOT retire the dead member from the ring: the membership entry is the only record that those photos run
 // under-replicated. The pass errors, the ring is unchanged, and a retry
 // after the fleet stabilizes can still find the gap. The first victim dies
 // on its third write: run 1's (only) feature batch, after the hello and run 0's.
@@ -458,7 +395,7 @@ func TestRebuildIncompleteKeepsRingMembership(t *testing.T) {
 	stores[2].conn.Close()
 
 	before := tn.RingMembers()
-	if _, err := tn.Rebuild(dead); err == nil {
+	if _, err := tn.Reconcile(0, dead); err == nil {
 		t.Fatal("rebuild with undeliverable objects must error, not retire the ring member")
 	}
 	after := tn.RingMembers()
@@ -478,11 +415,11 @@ func TestRebuildIncompleteKeepsRingMembership(t *testing.T) {
 
 // A replica that is MISSING — a replica write that failed at ingest, or an
 // object dropped by an interrupted rebuild — is invisible to checksum
-// scrubbing: there are no bytes for a CRC to flag. The anti-entropy pass
-// finds the gap by diffing store inventories against ring placement and
-// refills it from a live replica with a healthy copy.
+// scrubbing: there are no bytes for a CRC to flag. The reconcile pass finds
+// the gap by diffing store holdings against ring placement and refills it
+// from a live replica with a healthy copy.
 func TestAntiEntropyRefillsMissingReplica(t *testing.T) {
-	tn, stores, world, _, ring := ringClusterUp(t, 3, 2, 120, 61, false, nil)
+	tn, stores, world, ring, _ := ringClusterUp(t, 3, 2, 120, 61, false, nil)
 	tn.SetRoundOptions(chaosRoundOptions())
 
 	// Simulate a failed replica write: drop one photo from its secondary.
@@ -499,20 +436,8 @@ func TestAntiEntropyRefillsMissingReplica(t *testing.T) {
 		t.Fatal("precondition: the secondary replica must be missing")
 	}
 
-	// Checksum scrub/repair cannot see an absent replica.
-	srStats, err := tn.ScrubRepair(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srStats.Repaired != 0 || srStats.Failed != 0 {
-		t.Fatalf("scrub/repair acted on a missing replica: %+v", srStats)
-	}
-	if _, err := stores[secondary].ps.Storage().GetRaw(img.ID); err == nil {
-		t.Fatal("scrub/repair must not have refilled the missing replica")
-	}
-
-	// Anti-entropy finds and refills exactly that gap.
-	st, err := tn.AntiEntropy()
+	// Reconcile finds and refills exactly that gap.
+	st, err := tn.Reconcile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,8 +450,8 @@ func TestAntiEntropyRefillsMissingReplica(t *testing.T) {
 	if miss := st.Missing[reps[1]]; len(miss) != 1 || miss[0] != img.ID {
 		t.Fatalf("missing[%s] = %v, want [%d]", reps[1], miss, img.ID)
 	}
-	if st.Refills != 1 || st.Failed != 0 {
-		t.Fatalf("refills=%d failed=%d, want 1/0", st.Refills, st.Failed)
+	if st.Refilled != 1 || st.Failed != 0 {
+		t.Fatalf("refills=%d failed=%d, want 1/0", st.Refilled, st.Failed)
 	}
 	raw, err := stores[secondary].ps.Storage().GetRaw(img.ID)
 	if err != nil {
@@ -549,11 +474,174 @@ func TestAntiEntropyRefillsMissingReplica(t *testing.T) {
 	}
 
 	// Idempotent: a whole fleet finds nothing to do.
-	st2, err := tn.AntiEntropy()
+	st2, err := tn.Reconcile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st2.Missing) != 0 || st2.Refills != 0 || st2.Failed != 0 {
+	if len(st2.Missing) != 0 || st2.Refilled != 0 || st2.Failed != 0 {
 		t.Fatalf("second pass must be a no-op: %+v", st2)
+	}
+}
+
+// Reconcile refuses to run, or to retire, whenever retiring could erase the
+// only record that objects run under-replicated — and a refused pass leaves
+// ring membership exactly as it was.
+func TestReconcileErrorsLeaveMembershipUnchanged(t *testing.T) {
+	t.Run("replication off", func(t *testing.T) {
+		tn, err := New(core.DefaultModelConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tn.Close()
+		before := tn.RingMembers()
+		if _, err := tn.Reconcile(0); err == nil {
+			t.Fatal("reconcile without replication must error")
+		}
+		if after := tn.RingMembers(); !slices.Equal(after, before) {
+			t.Fatalf("ring membership changed: %v -> %v", before, after)
+		}
+	})
+
+	tn, stores, _, _, _ := ringClusterUp(t, 4, 2, 80, 67, false, nil)
+	tn.SetRoundOptions(chaosRoundOptions())
+	before := tn.RingMembers()
+	unchanged := func(t *testing.T) {
+		t.Helper()
+		if after := tn.RingMembers(); !slices.Equal(after, before) {
+			t.Fatalf("ring membership changed on a refused pass: %v -> %v", before, after)
+		}
+	}
+	t.Run("retiree still live", func(t *testing.T) {
+		if _, err := tn.Reconcile(0, stores[0].ps.ID); err == nil {
+			t.Fatal("retiring a live store must error")
+		}
+		unchanged(t)
+	})
+	t.Run("retiree not a ring member", func(t *testing.T) {
+		if _, err := tn.Reconcile(0, "cs-99"); err == nil {
+			t.Fatal("retiring a non-member must error")
+		}
+		unchanged(t)
+	})
+	t.Run("remaining member did not answer", func(t *testing.T) {
+		// Two stores drop. A pass that retires nobody evicts both and is no
+		// error: a silent member is healed when it rejoins.
+		stores[2].conn.Close()
+		stores[3].conn.Close()
+		st, err := tn.Reconcile(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Stores != 2 {
+			t.Fatalf("%d stores answered, want 2", st.Stores)
+		}
+		// Retiring one of them must not proceed while the other, which
+		// stays in the ring, cannot confirm it holds its copies.
+		if _, err := tn.Reconcile(0, stores[3].ps.ID); err == nil {
+			t.Fatal("retiring with a silent remaining member must error")
+		}
+		unchanged(t)
+	})
+}
+
+// One pass heals every kind of gap together. At R=2 over 4 stores, store A
+// holds a quarantined copy, store B lacks a copy it owes, and member C died
+// mid-round. Afterwards every photo is byte-identical on both of its
+// survivor-ring replicas, C is retired, and a second pass finds nothing to do.
+func TestReconcileHealsQuarantineGapAndDeadMemberInOnePass(t *testing.T) {
+	inj, err := faultinject.New(13, faultinject.Rule{Kind: faultinject.Drop, Op: faultinject.OpWrite, After: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 1
+	wrap := func(i int, c net.Conn) net.Conn {
+		if i == victim {
+			return inj.Conn(c)
+		}
+		return c
+	}
+	tn, stores, world, ring, dirs := ringClusterUp(t, 4, 2, 200, 59, true, wrap)
+	tn.SetRoundOptions(chaosRoundOptions())
+	rep, err := tn.FineTune(2, 64, soakOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := stores[victim].ps.ID
+	if len(rep.FailedStores) != 1 || rep.FailedStores[0] != dead {
+		t.Fatalf("FailedStores = %v, want [%s]", rep.FailedStores, dead)
+	}
+
+	// Pick two photos C never replicated: one to quarantine on its first
+	// replica A, one to drop from its second replica B.
+	byID := make(map[string]int, len(stores))
+	for i, cs := range stores {
+		byID[cs.ps.ID] = i
+	}
+	var picked []dataset.Image
+	for _, img := range world.Images() {
+		if reps := ring.Replicas(img.ID); !slices.Contains(reps, dead) {
+			picked = append(picked, img)
+			if len(picked) == 2 {
+				break
+			}
+		}
+	}
+	if len(picked) != 2 {
+		t.Fatal("precondition: need two photos the dead member never held")
+	}
+	quarID, gapID := picked[0].ID, picked[1].ID
+	a, b := byID[ring.Replicas(quarID)[0]], byID[ring.Replicas(gapID)[1]]
+	flipObjectByte(t, stores[a].ps, dirs[a], quarID)
+	stores[b].ps.Storage().Delete(gapID)
+
+	st, err := tn.Reconcile(-1, dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := st.Quarantined[stores[a].ps.ID]; len(q) != 1 || q[0] != quarID {
+		t.Fatalf("store %s quarantined %v, want [%d]", stores[a].ps.ID, q, quarID)
+	}
+	if !slices.Contains(st.Missing[stores[b].ps.ID], gapID) {
+		t.Fatalf("missing[%s] = %v, want it to include %d", stores[b].ps.ID, st.Missing[stores[b].ps.ID], gapID)
+	}
+	missing := 0
+	for _, ids := range st.Missing {
+		missing += len(ids)
+	}
+	if st.Refilled != missing || missing <= 2 {
+		t.Fatalf("refilled %d of %d missing copies, want all of them and more than the two injected gaps", st.Refilled, missing)
+	}
+	if st.Failed != 0 || len(st.Retired) != 1 || st.Retired[0] != dead {
+		t.Fatalf("failed=%d retired=%v, want 0 and [%s]", st.Failed, st.Retired, dead)
+	}
+	if slices.Contains(tn.RingMembers(), dead) {
+		t.Fatalf("dead member %s still in the ring: %v", dead, tn.RingMembers())
+	}
+
+	survivors, err := placement.New(tn.RingMembers(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range world.Images() {
+		var first []byte
+		for _, m := range survivors.Replicas(img.ID) {
+			raw, err := stores[byID[m]].ps.Storage().GetRaw(img.ID)
+			if err != nil {
+				t.Fatalf("photo %d unreadable on survivor replica %s: %v", img.ID, m, err)
+			}
+			if first == nil {
+				first = raw
+			} else if string(raw) != string(first) {
+				t.Fatalf("photo %d differs between its survivor replicas", img.ID)
+			}
+		}
+	}
+
+	st2, err := tn.Reconcile(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st2.Missing) != 0 || st2.Refilled != 0 || st2.Failed != 0 {
+		t.Fatalf("second pass must be a no-op: missing=%v refilled=%d failed=%d", st2.Missing, st2.Refilled, st2.Failed)
 	}
 }

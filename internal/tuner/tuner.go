@@ -81,7 +81,7 @@ type Node struct {
 	// Photo durability (S36), guarded by mu. replication is the placement
 	// factor R (0 = replication off, legacy full-shard rounds); ringMembers
 	// is the durable ring membership — every store that ever registered,
-	// dead or alive, until Rebuild explicitly retires one. Membership must
+	// dead or alive, until a Reconcile pass retires one. Membership must
 	// outlive liveness: ownership is "first LIVE replica on the ring", so a
 	// dead member has to stay on the ring for its photos to keep resolving
 	// to the survivors that actually hold them.

@@ -13,7 +13,7 @@ import (
 // ProtocolVersion is the byte both hello messages carry. A peer speaking any
 // other version is refused at registration with ErrVersion: the layouts below
 // have no optional fields, so there is nothing to negotiate.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // coder walks a Message's fields in wire order. Encoding, it appends each
 // field to buf; decoding, it fills each field from the front of buf. One
@@ -250,7 +250,7 @@ func (c *coder) labels(p *map[uint64]int) {
 	*p = m
 }
 
-const attrMin, spanMin, bucketMin, metricMin, objectMin = 2, 14, 9, 11, 14
+const attrMin, spanMin, bucketMin, metricMin, objectMin = 2, 14, 9, 11, 13
 
 func (c *coder) attr(a *telemetry.Attr) { c.str(&a.Key); c.str(&a.Value) }
 
@@ -295,7 +295,6 @@ func (c *coder) object(o *ObjectData) {
 	c.bytes(&o.Pre)
 	c.u32(&o.RawCRC)
 	c.u32(&o.PreCRC)
-	c.str(&o.Dest)
 }
 
 // version codes the protocol-version byte of store's hello.
@@ -331,7 +330,7 @@ func (c *coder) message(m *Message) {
 		c.int(&m.ModelVersion)
 		c.u8(&m.DeltaEncoding)
 		c.u64(&m.WALSeq)
-	case MsgTrainRequest, MsgInferRequest, MsgRebuildRequest:
+	case MsgTrainRequest, MsgInferRequest:
 		c.int(&m.Runs)
 		c.int(&m.BatchSize)
 		c.int(&m.Replication)
@@ -382,7 +381,6 @@ func (c *coder) message(m *Message) {
 		list(c, &m.IDs, 1, (*coder).u64)
 	case MsgScrubQuery:
 		c.int(&m.BatchSize)
-		c.bool(&m.Inventory)
 	case MsgScrubReport:
 		list(c, &m.Quarantined, 1, (*coder).u64)
 		list(c, &m.IDs, 1, (*coder).u64)

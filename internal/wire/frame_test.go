@@ -29,7 +29,7 @@ func samples() []*Message {
 	}
 	at := time.Unix(0, 1_700_000_000_123_456_789)
 	objects := []ObjectData{
-		{ID: 1 << 33, Label: 4, Day: 9, Raw: []byte("raw-bytes"), Pre: []byte{0, 1, 2}, RawCRC: 0xdeadbeef, PreCRC: 7, Dest: "ps-2"},
+		{ID: 1 << 33, Label: 4, Day: 9, Raw: []byte("raw-bytes"), Pre: []byte{0, 1, 2}, RawCRC: 0xdeadbeef, PreCRC: 7},
 		{ID: 5, Label: -1, Raw: []byte{9}},
 	}
 	ring := func(m *Message) {
@@ -84,9 +84,11 @@ func samples() []*Message {
 		with(MsgObjectPut, func(m *Message) { m.Objects, m.Final = objects, true }),
 		with(MsgObjectFetch, func(m *Message) { m.IDs = []uint64{3, 1 << 50} }),
 		with(MsgObjects, func(m *Message) { m.Objects, m.Final = objects, true }),
-		with(MsgScrubQuery, func(m *Message) { m.BatchSize, m.Inventory = -1, true }),
+		with(MsgScrubQuery, func(m *Message) { m.BatchSize = -1 }),
 		with(MsgScrubReport, func(m *Message) { m.Quarantined, m.IDs = []uint64{8, 9}, []uint64{1, 2, 1 << 60} }),
-		with(MsgRebuildRequest, ring),
+		// A wiped or replacement store holds nothing: both lists empty,
+		// the report Reconcile refills a whole member from.
+		hdr(MsgScrubReport),
 	}
 }
 
@@ -393,7 +395,7 @@ func wireFloor(m *Message) int {
 		}
 	}
 	for _, o := range m.Objects {
-		n += objectMin + len(o.Raw) + len(o.Pre) + len(o.Dest)
+		n += objectMin + len(o.Raw) + len(o.Pre)
 	}
 	for _, s := range m.Spans {
 		n += spanMin + len(s.Name)

@@ -18,32 +18,31 @@ type MsgType uint8
 
 // Protocol message types.
 const (
-	MsgHello          MsgType = iota + 1 // store → tuner: registration
-	MsgTrainRequest                      // tuner → store: start FT-DMP feature extraction
-	MsgFeatures                          // store → tuner: one feature batch
-	MsgModelDelta                        // tuner → store: Check-N-Run delta broadcast
-	MsgInferRequest                      // tuner → store: run offline inference
-	MsgLabels                            // store → tuner: offline-inference results
-	MsgAck                               // either direction: acknowledgement
-	MsgError                             // either direction: failure report
-	MsgSpans                             // store → tuner: finished trace spans for stitching
-	MsgPing                              // tuner → store: liveness probe (silent-death detection)
-	MsgPong                              // store → tuner: liveness reply, echoing the ping's epoch
-	MsgMetrics                           // store → tuner: registry snapshot for the fleet aggregator
-	MsgWALAppend                         // leader → standby: one durable WAL record (or bootstrap seed)
-	MsgWALAck                            // standby → leader: record applied and locally durable
-	MsgStandbyHello                      // standby → leader: replication-channel registration
-	MsgObjectPut                         // tuner → store: store replicated/repaired photo objects
-	MsgObjectFetch                       // tuner → store: fetch photo objects by ID
-	MsgObjects                           // store → tuner: photo object payloads (chunked, Final-terminated)
-	MsgScrubQuery                        // tuner → store: report quarantined objects
-	MsgScrubReport                       // store → tuner: quarantined IDs awaiting repair
-	MsgRebuildRequest                    // tuner → store: re-replicate a dead member's objects
+	MsgHello        MsgType = iota + 1 // store → tuner: registration
+	MsgTrainRequest                    // tuner → store: start FT-DMP feature extraction
+	MsgFeatures                        // store → tuner: one feature batch
+	MsgModelDelta                      // tuner → store: Check-N-Run delta broadcast
+	MsgInferRequest                    // tuner → store: run offline inference
+	MsgLabels                          // store → tuner: offline-inference results
+	MsgAck                             // either direction: acknowledgement
+	MsgError                           // either direction: failure report
+	MsgSpans                           // store → tuner: finished trace spans for stitching
+	MsgPing                            // tuner → store: liveness probe (silent-death detection)
+	MsgPong                            // store → tuner: liveness reply, echoing the ping's epoch
+	MsgMetrics                         // store → tuner: registry snapshot for the fleet aggregator
+	MsgWALAppend                       // leader → standby: one durable WAL record (or bootstrap seed)
+	MsgWALAck                          // standby → leader: record applied and locally durable
+	MsgStandbyHello                    // standby → leader: replication-channel registration
+	MsgObjectPut                       // tuner → store: store replicated/repaired photo objects
+	MsgObjectFetch                     // tuner → store: fetch photo objects by ID
+	MsgObjects                         // store → tuner: photo object payloads (chunked, Final-terminated)
+	MsgScrubQuery                      // tuner → store: scrub, then report holdings
+	MsgScrubReport                     // store → tuner: servable and quarantined object IDs
 )
 
 // lastMsgType is the highest defined MsgType; the per-type metric arrays
 // are sized off it.
-const lastMsgType = MsgRebuildRequest
+const lastMsgType = MsgScrubReport
 
 // String implements fmt.Stringer.
 func (t MsgType) String() string {
@@ -88,8 +87,6 @@ func (t MsgType) String() string {
 		return "scrub-query"
 	case MsgScrubReport:
 		return "scrub-report"
-	case MsgRebuildRequest:
-		return "rebuild-request"
 	}
 	return fmt.Sprintf("msgtype(%d)", uint8(t))
 }
@@ -124,8 +121,8 @@ type Message struct {
 	Runs      int // pipeline depth Nrun
 	BatchSize int
 
-	// Placement routing, on MsgTrainRequest / MsgInferRequest /
-	// MsgRebuildRequest when the tuner runs with replication enabled. The
+	// Placement routing, on MsgTrainRequest / MsgInferRequest when the
+	// tuner runs with replication enabled. The
 	// tuner ships the whole ring (membership + factor) instead of a
 	// per-photo assignment: every store derives identical placement locally
 	// (internal/placement is deterministic over the sorted member list), so
@@ -147,17 +144,12 @@ type Message struct {
 	// end to end (producer computes, receiver verifies before storing).
 	Objects []ObjectData
 
-	// MsgScrubReport: objects the store's scrubber quarantined, awaiting
-	// read-repair from a healthy replica.
+	// MsgScrubReport: objects the store's scrubber quarantined, awaiting a
+	// refill from a healthy replica. The report's IDs list every object the
+	// store can serve (quarantined ones excluded): the tuner's Reconcile
+	// pass diffs both against ring placement, because a replica write that
+	// failed at ingest leaves no bytes for any checksum to flag.
 	Quarantined []uint64
-
-	// MsgScrubQuery: Inventory asks the store to include its full held-object
-	// ID list (quarantined objects excluded — they have no servable bytes)
-	// in the IDs field of its MsgScrubReport. The tuner's anti-entropy pass
-	// diffs that inventory against ring placement to find replicas that are
-	// MISSING rather than corrupt — a replica write that failed at ingest
-	// leaves no bytes for any checksum to flag.
-	Inventory bool
 
 	// MsgFeatures. Rows also carries the accepted-object count on the
 	// MsgAck / MsgError reply to a MsgObjectPut; IDs also lists the wanted
@@ -219,8 +211,6 @@ type Message struct {
 // uncompressed preprocessed encoding, each with its CRC32C. The receiver
 // verifies both checksums before storing — a flip anywhere between the
 // producer's disk and the receiver's memory is rejected, never persisted.
-// Dest names the store the object is bound for when a third party (the
-// tuner, during rebuild) relays it; empty means "for the receiver".
 type ObjectData struct {
 	ID     uint64
 	Label  int
@@ -229,7 +219,6 @@ type ObjectData struct {
 	Pre    []byte // uncompressed preprocessed binary (core float encoding)
 	RawCRC uint32
 	PreCRC uint32
-	Dest   string
 }
 
 // TraceContext returns the message's trace context in telemetry form.
